@@ -29,7 +29,7 @@ from .evaluator import (
     forward,
     predict,
 )
-from .ingest import Dataset, accuracy, decode_bits, encode_row, load_csv
+from .ingest import Dataset, accuracy, encode_row, load_csv
 from .netlist import (
     Gate,
     Netlist,
@@ -78,7 +78,6 @@ __all__ = [
     "build_query",
     "check_attainable",
     "check_phi",
-    "decode_bits",
     "decode_counterexample",
     "encode_row",
     "find_solver",

@@ -8,13 +8,17 @@ Every auxiliary variable is defined with full (both-polarity) equivalence
 clauses. That discipline is what makes counterexample decoding sound: a
 model restricted to the input variables extends uniquely, so output
 variables always agree with the concrete forward pass.
+
+Networks are encoded from ``Netlist.program``, the same compiled,
+cone-pruned gate list the evaluator runs, so gates no output depends on
+get no variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netlist import GATE, Netlist
+from .netlist import Netlist
 
 Lit = int
 Clause = tuple[Lit, ...]
@@ -151,19 +155,15 @@ class CnfBuilder:
         return x if op == 6 else -x
 
     def encode_network(self, netlist: Netlist, in_lits) -> list[Lit]:
-        """One encode_gate per gate in layer order; returns the final layer's
-        literals in block order."""
+        """One encode_gate per entry of the compiled program; returns the
+        output literals in block order. Gates outside the outputs' cone of
+        influence are not in the program, so they get no variables and no
+        clauses."""
         assert len(in_lits) == netlist.input_width
-        gate_lits: list[Lit] = []
-        out: list[Lit] = []
-        for layer in netlist.layers:
-            out = []
-            for gate in layer:
-                la = gate_lits[gate.in_a.index] if gate.in_a.kind == GATE else in_lits[gate.in_a.index]
-                lb = gate_lits[gate.in_b.index] if gate.in_b.kind == GATE else in_lits[gate.in_b.index]
-                out.append(self.encode_gate(gate.op, la, lb))
-            gate_lits.extend(out)
-        return out
+        lits: list = list(in_lits) + [None] * netlist.num_gates
+        for node, op, a, b in netlist.program:
+            lits[node] = self.encode_gate(op, lits[a], lits[b])
+        return lits[len(lits) - netlist.num_outputs:]
 
     # -- sorting network -----------------------------------------------------
 

@@ -55,12 +55,6 @@ class KappaSearchResult:
         return sum(q.wall_time for q in self.queries)
 
 
-def _status_of(outcome: sat.SolveOutcome) -> str:
-    return {sat.SAT: COUNTEREXAMPLE, sat.UNSAT: HOLDS, sat.UNKNOWN: UNKNOWN}[
-        outcome.status
-    ]
-
-
 def verify_at(
     netlist: Netlist,
     schema: FeatureSchema,

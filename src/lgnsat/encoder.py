@@ -18,11 +18,12 @@ from fractions import Fraction
 
 from .cnf import FALSE_LIT, CnfBuilder, CnfFormula, Lit
 from .errors import QueryBuildError
+from .evaluator import FAIR, ROBUST
 from .netlist import Netlist, check_valid
 from .schema import FeatureSchema, NumericFeature
 
 ATTAINABLE = "attainable"
-_MODES = ("fair", "robust", ATTAINABLE)
+_MODES = (FAIR, ROBUST, ATTAINABLE)
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,7 @@ def build_query(
     confidence only clears thresholds below 1/C.
     """
     check_valid(netlist, schema)
-    if query.mode == "fair" and not schema.sensitive_features():
+    if query.mode == FAIR and not schema.sensitive_features():
         raise QueryBuildError("fair mode requires at least one sensitive feature")
 
     b = CnfBuilder()
@@ -239,7 +240,7 @@ def build_query(
         blk1, blk2 = in1[start:end], in2[start:end]
         if isinstance(f, NumericFeature):
             emit_prox(b, query.eps, blk1, blk2)
-        elif query.mode == "fair" and f.sensitive:
+        elif query.mode == FAIR and f.sensitive:
             emit_diff_cat(b, blk1, blk2)
         else:
             emit_same_cat(b, blk1, blk2)

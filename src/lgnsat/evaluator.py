@@ -1,5 +1,12 @@
 """Concrete network evaluation and brute-force verification oracles.
 
+Evaluation is bit-sliced: the netlist's compiled program runs once over a
+whole batch of rows, on Python ints whose bit r belongs to row r. Class
+scores come from bit-plane counters over each block's output words, so a
+batch costs one pass over the live gates plus work linear in the row count.
+``predict`` and ``forward`` are one-row batches; ``accuracy`` and the
+oracles' prediction table evaluate all their rows in one batch.
+
 Confidence is the winner block's popcount over the total output popcount,
 kept as an exact Fraction throughout: float comparison would corrupt
 boundary cases such as 150/151 vs 0.99. When the total is zero the
@@ -15,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DataError, InstanceTooLargeError
-from .netlist import GATE, Netlist, gate_truth
+from .netlist import Netlist
 from .schema import FeatureSchema, NumericFeature
 
 HOLDS = "holds"
@@ -71,24 +78,71 @@ class Verdict:
         assert (self.witness is not None) == (self.status == COUNTEREXAMPLE)
 
 
+# Bit-sliced gate ops, indexed by truth-table code: a and b hold one bit per
+# row, m has a bit set for every row, and a complement is an XOR with m.
+_OPS = (
+    lambda a, b, m: 0,
+    lambda a, b, m: (a | b) ^ m,
+    lambda a, b, m: b & ~a,
+    lambda a, b, m: a ^ m,
+    lambda a, b, m: a & ~b,
+    lambda a, b, m: b ^ m,
+    lambda a, b, m: a ^ b,
+    lambda a, b, m: (a & b) ^ m,
+    lambda a, b, m: a & b,
+    lambda a, b, m: a ^ b ^ m,
+    lambda a, b, m: b,
+    lambda a, b, m: (a & ~b) ^ m,
+    lambda a, b, m: a,
+    lambda a, b, m: (b & ~a) ^ m,
+    lambda a, b, m: a | b,
+    lambda a, b, m: m,
+)
+
+
+def _output_words(netlist: Netlist, rows) -> list[int]:
+    """Run the compiled program over all rows at once; returns one int per
+    output bit, in block order, whose bit r is that output on row r."""
+    for bits in rows:
+        if len(bits) != netlist.input_width:
+            raise DataError(
+                f"input width mismatch: got {len(bits)}, "
+                f"expected {netlist.input_width}"
+            )
+    mask = (1 << len(rows)) - 1
+    values: list = [None] * (netlist.input_width + netlist.num_gates)
+    for i, column in enumerate(zip(*rows)):
+        values[i] = int("".join("1" if v else "0" for v in reversed(column)), 2)
+    for node, op, a, b in netlist.program:
+        values[node] = _OPS[op](values[a], values[b], mask)
+    return values[len(values) - netlist.num_outputs:]
+
+
+def _popcounts(words, num_rows: int) -> list[int]:
+    """Per-row count of set bits over ``words``: a ripple-carry add into bit
+    planes, each plane then read back through one binary formatting."""
+    planes: list[int] = []
+    for carry in words:
+        i = 0
+        while carry:
+            if i == len(planes):
+                planes.append(carry)
+                break
+            planes[i], carry = planes[i] ^ carry, planes[i] & carry
+            i += 1
+    counts = [0] * num_rows
+    for i, plane in enumerate(planes):
+        digits = format(plane, "b")[::-1]  # digits[r] is bit r
+        r = digits.find("1")
+        while r >= 0:
+            counts[r] += 1 << i
+            r = digits.find("1", r + 1)
+    return counts
+
+
 def forward(netlist: Netlist, input_bits) -> list[int]:
-    """Evaluate every gate layer by layer; returns final-layer bits in block
-    order."""
-    if len(input_bits) != netlist.input_width:
-        raise DataError(
-            f"input width mismatch: got {len(input_bits)}, "
-            f"expected {netlist.input_width}"
-        )
-    values: list[int] = []
-    out: list[int] = []
-    for layer in netlist.layers:
-        out = []
-        for gate in layer:
-            a = values[gate.in_a.index] if gate.in_a.kind == GATE else input_bits[gate.in_a.index]
-            b = values[gate.in_b.index] if gate.in_b.kind == GATE else input_bits[gate.in_b.index]
-            out.append(gate_truth(gate.op, a, b))
-        values.extend(out)
-    return out
+    """Final-layer bits in block order for one input."""
+    return [w & 1 for w in _output_words(netlist, [input_bits])]
 
 
 def winner_of(scores: ScoreVector) -> int:
@@ -104,14 +158,28 @@ def confidence_of(scores: ScoreVector, num_classes: int) -> Fraction:
     return Fraction(scores.scores[winner_of(scores)], scores.total)
 
 
+def predict_batch(netlist: Netlist, rows) -> list[tuple[int, ScoreVector, Fraction]]:
+    """``predict`` for every row of a list, evaluated together bit-sliced."""
+    if not rows:
+        return []
+    words = _output_words(netlist, rows)
+    L = netlist.block_size
+    per_class = [
+        _popcounts(words[c * L:(c + 1) * L], len(rows))
+        for c in range(netlist.num_classes)
+    ]
+    results = []
+    for row_scores in zip(*per_class):
+        scores = ScoreVector(row_scores)
+        results.append(
+            (winner_of(scores), scores, confidence_of(scores, netlist.num_classes))
+        )
+    return results
+
+
 def predict(netlist: Netlist, input_bits) -> tuple[int, ScoreVector, Fraction]:
     """Predicted class, block scores, and exact confidence for one input."""
-    out = forward(netlist, input_bits)
-    L = netlist.block_size
-    scores = ScoreVector(
-        tuple(sum(out[c * L:(c + 1) * L]) for c in range(netlist.num_classes))
-    )
-    return winner_of(scores), scores, confidence_of(scores, netlist.num_classes)
+    return predict_batch(netlist, [input_bits])[0]
 
 
 def check_phi(x_bits, x_prime_bits, schema: FeatureSchema, eps: int, mode: str) -> bool:
@@ -177,12 +245,12 @@ def _guard(schema: FeatureSchema) -> int:
 
 
 def _prediction_table(netlist: Netlist, schema: FeatureSchema) -> list[_InputRecord]:
-    table = []
-    for values in enumerate_inputs(schema):
-        bits = schema.encode_values(values)
-        cls, _, conf = predict(netlist, bits)
-        table.append(_InputRecord(values, bits, cls, conf))
-    return table
+    inputs = [(v, schema.encode_values(v)) for v in enumerate_inputs(schema)]
+    predictions = predict_batch(netlist, [bits for _, bits in inputs])
+    return [
+        _InputRecord(values, bits, cls, conf)
+        for (values, bits), (cls, _, conf) in zip(inputs, predictions)
+    ]
 
 
 def _witness_from(x: _InputRecord, xp: _InputRecord) -> Witness:

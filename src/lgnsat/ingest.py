@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DataError
-from .evaluator import predict
+from .evaluator import predict_batch
 from .netlist import Netlist
 from .schema import CategoricalFeature, FeatureSchema, NumericFeature
 
@@ -57,14 +57,6 @@ def encode_row(schema: FeatureSchema, raw_values) -> tuple[int, ...]:
                 raise DataError(f"feature {f.name!r}: unknown category {cat}")
             buckets.append(cat)
     return schema.encode_values(buckets)
-
-
-def decode_bits(schema: FeatureSchema, bits) -> tuple[int, ...]:
-    """Input bits -> per-feature values (bucket index / category index).
-
-    Ill-formed patterns (non-monotone thermometer, non-one-hot block) raise.
-    """
-    return schema.decode_bits(bits)
 
 
 def load_csv(
@@ -114,7 +106,8 @@ def load_csv(
 
 
 def accuracy(netlist: Netlist, dataset: Dataset) -> Fraction:
-    """Fraction of rows whose predicted class equals the label."""
+    """Fraction of rows whose predicted class equals the label; all rows
+    are evaluated in one bit-sliced batch."""
     if dataset.schema.width != netlist.input_width:
         raise DataError(
             f"schema width {dataset.schema.width} != netlist input_width "
@@ -127,9 +120,10 @@ def accuracy(netlist: Netlist, dataset: Dataset) -> Fraction:
             raise DataError(
                 f"label {label} outside 0..{netlist.num_classes - 1}"
             )
-    hits = 0
-    for values, label in dataset.rows:
-        bits = encode_row(dataset.schema, values)
-        cls, _, _ = predict(netlist, bits)
-        hits += cls == label
+    predictions = predict_batch(
+        netlist, [encode_row(dataset.schema, values) for values, _ in dataset.rows]
+    )
+    hits = sum(
+        cls == label for (cls, _, _), (_, label) in zip(predictions, dataset.rows)
+    )
     return Fraction(hits, len(dataset.rows))

@@ -9,6 +9,10 @@ are the class scores.
 
 All indexing is 0-based, in files and in code. Gate ids are global,
 numbered in layer order.
+
+``Netlist.program`` is the compiled form that the CNF encoder and the
+evaluator both walk. It numbers nodes in one space: input bit i is node i
+and gate g is node ``input_width + g``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidNetlistError, NetlistFormatError
 
@@ -90,6 +95,33 @@ class Netlist:
     @property
     def num_outputs(self) -> int:
         return self.num_classes * self.block_size
+
+    @cached_property
+    def program(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The gates in the cone of influence of the outputs, compiled once.
+
+        Entries are (node, op, node a, node b) in gate-id order, which is
+        topological; gates no output depends on are left out. The output
+        bits are the last ``num_outputs`` nodes.
+        """
+        gates = [g for layer in self.layers for g in layer]
+        first_output = len(gates) - self.num_outputs
+        live = [gid >= first_output for gid in range(len(gates))]
+        for gid in reversed(range(len(gates))):
+            if live[gid]:
+                for ref in (gates[gid].in_a, gates[gid].in_b):
+                    if ref.kind == GATE:
+                        live[ref.index] = True
+        w = self.input_width
+
+        def node(ref: NodeRef) -> int:
+            return ref.index if ref.kind == INPUT else w + ref.index
+
+        return tuple(
+            (w + gid, g.op, node(g.in_a), node(g.in_b))
+            for gid, g in enumerate(gates)
+            if live[gid]
+        )
 
     def layer_starts(self) -> list[int]:
         """Global gate id of the first gate in each layer."""

@@ -8,7 +8,9 @@ encoder and the data ingest rely on.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DataError, SchemaFormatError
 
@@ -36,22 +38,24 @@ class NumericFeature:
     def sensitive(self) -> bool:
         return False
 
-    def cut_points(self) -> tuple[float, ...]:
+    @cached_property
+    def _cuts(self) -> tuple[float, ...]:
         if self.thresholds is not None:
             return self.thresholds
         step = (self.hi - self.lo) / (self.bits + 1)
         return tuple(self.lo + step * k for k in range(1, self.bits + 1))
 
+    def cut_points(self) -> tuple[float, ...]:
+        return self._cuts
+
     def bucket_of(self, value: float) -> int:
+        """Number of cut points at or below ``value``: a value exactly on a
+        cut belongs to the bucket above it."""
         if not self.lo <= value <= self.hi:
             raise DataError(
                 f"feature {self.name!r}: value {value!r} outside [{self.lo}, {self.hi}]"
             )
-        cuts = self.cut_points()
-        b = 0
-        while b < len(cuts) and value >= cuts[b]:
-            b += 1
-        return b
+        return bisect_right(self._cuts, value)
 
     def bucket_interval(self, bucket: int) -> tuple[float, float]:
         """Value interval [lo, hi) covered by a bucket index."""
@@ -111,6 +115,8 @@ class FeatureSchema:
                         f"feature {f.name!r}: {len(f.thresholds)} thresholds "
                         f"for {f.bits} bits"
                     )
+                if f.thresholds is not None and list(f.thresholds) != sorted(f.thresholds):
+                    v.append(f"feature {f.name!r}: thresholds are not ascending")
             else:
                 if f.arity < 2:
                     v.append(f"feature {f.name!r}: arity must be >= 2")

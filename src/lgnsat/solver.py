@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cnf import CnfFormula, to_dimacs
-from .errors import EncodingConsistencyError, SolverNotFoundError, SolverOutputError
+from .errors import DataError, EncodingConsistencyError, SolverNotFoundError, SolverOutputError
 from .evaluator import Witness, check_phi, predict
 from .netlist import Netlist
 from .schema import FeatureSchema
@@ -74,7 +74,8 @@ def find_solver(executable: str | None = None) -> str:
     An explicit name/path must resolve or we fail loudly, and so must the
     LGNSAT_SOLVER environment variable when it is set. Otherwise kissat is
     tried, then the fallback list, then the built-in solver
-    (``BUILTIN_SOLVER``), which ships with the package but is much slower.
+    (``BUILTIN_SOLVER``), which ships with the package but is much slower
+    and is chosen only when ``python3`` is on PATH to run it.
     """
     if executable:
         found = shutil.which(executable)
@@ -89,14 +90,18 @@ def find_solver(executable: str | None = None) -> str:
                 f"{SOLVER_ENV_VAR}={env!r} does not resolve to an executable"
             )
         return found
-    for name in (DEFAULT_SOLVER, *FALLBACK_SOLVERS, BUILTIN_SOLVER):
+    names = (DEFAULT_SOLVER, *FALLBACK_SOLVERS)
+    if shutil.which("python3"):  # the built-in starts with "#!/usr/bin/env python3"
+        names += (BUILTIN_SOLVER,)
+    for name in names:
         found = shutil.which(name)
         if found:
             return found
     raise SolverNotFoundError(
         f"no SAT solver found: kissat and {', '.join(FALLBACK_SOLVERS)} are not "
-        f"on PATH and the built-in fallback {BUILTIN_SOLVER} is not executable; "
-        f"install kissat (or any DIMACS solver) or set {SOLVER_ENV_VAR}"
+        f"on PATH and the built-in fallback {BUILTIN_SOLVER} is not executable "
+        f"or python3 is not on PATH; install kissat (or any DIMACS solver) or "
+        f"set {SOLVER_ENV_VAR}"
     )
 
 
@@ -195,7 +200,7 @@ def decode_counterexample(
     try:
         x_values = schema.decode_bits(x_bits)
         xp_values = schema.decode_bits(xp_bits)
-    except Exception as exc:
+    except DataError as exc:
         raise EncodingConsistencyError(f"model bits are not well-formed: {exc}")
     x_cls, _, x_conf = predict(netlist, x_bits)
     xp_cls, _, xp_conf = predict(netlist, xp_bits)

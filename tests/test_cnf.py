@@ -5,7 +5,7 @@ import pytest
 from helpers import NAMED_OPS, bcp_satisfiable, forced_values, interpret
 
 from lgnsat.cnf import FALSE_LIT, TRUE_LIT, CnfBuilder, CnfFormula, to_dimacs
-from lgnsat.netlist import Gate, Netlist, input_ref, random_netlist
+from lgnsat.netlist import Gate, Netlist, gate_ref, input_ref, random_netlist
 
 
 class TestBuilderBasics:
@@ -157,6 +157,28 @@ class TestEncodeNetwork:
         for bits in itertools.product((0, 1), repeat=8):
             assumptions = {v: bool(x) for v, x in zip(in_lits, bits)}
             assert forced_values(f, assumptions, out) == interpret(net, bits)
+
+
+    def test_gate_outside_the_output_cone_is_not_encoded(self):
+        i0, i1 = input_ref(0), input_ref(1)
+        live = (Gate(8, i0, i1), Gate(14, i0, i1))
+        outputs = (Gate(6, gate_ref(0), gate_ref(1)), Gate(7, gate_ref(0), gate_ref(1)))
+        # The same net with an XOR (g2) that no output reads.
+        dead = Netlist(2, (live + (Gate(6, i0, i1),), outputs), 2, 1)
+        pruned = Netlist(2, (live, outputs), 2, 1)
+        assert [entry[0] for entry in dead.program] == [2, 3, 5, 6]
+
+        sizes = []
+        for net in (dead, pruned):
+            b = CnfBuilder()
+            in_lits = b.new_vars(2)
+            out = b.encode_network(net, in_lits)
+            f = b.build()
+            sizes.append((f.num_vars, len(f.clauses)))
+            for bits in itertools.product((0, 1), repeat=2):
+                assumptions = {v: bool(x) for v, x in zip(in_lits, bits)}
+                assert forced_values(f, assumptions, out) == interpret(net, bits)
+        assert sizes[0] == sizes[1]
 
 
 class TestSortBlock:

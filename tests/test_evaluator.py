@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,10 @@ from lgnsat.evaluator import (
     enumerate_inputs,
     forward,
     predict,
+    predict_batch,
     winner_of,
 )
-from lgnsat.netlist import Gate, Netlist, input_ref, random_netlist
+from lgnsat.netlist import Gate, Netlist, gate_ref, input_ref, random_netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 
 
@@ -98,6 +100,86 @@ class TestPredict:
         sv = ScoreVector(tuple(scores))
         conf = confidence_of(sv, len(scores))
         assert Fraction(1, len(scores)) <= conf <= 1
+
+
+def reference_prediction(net: Netlist, bits):
+    """Class, scores and confidence from the independent interpreter."""
+    out = interpret(net, bits)
+    L = net.block_size
+    scores = tuple(sum(out[c * L:(c + 1) * L]) for c in range(net.num_classes))
+    total = sum(scores)
+    if total == 0:
+        return 0, scores, Fraction(1, net.num_classes)
+    cls = min(c for c in range(net.num_classes) if scores[c] == max(scores))
+    return cls, scores, Fraction(scores[cls], total)
+
+
+def all_ops_net(num_classes: int, block_size: int) -> Netlist:
+    """Every op code in the first layer, and again in the output layer."""
+    first = tuple(Gate(op, input_ref(op % 4), input_ref((op + 1) % 4)) for op in range(16))
+    out = tuple(
+        Gate(k % 16, gate_ref(k % 16), gate_ref((5 * k + 3) % 16))
+        for k in range(num_classes * block_size)
+    )
+    return Netlist(4, (first, out), num_classes, block_size)
+
+
+class TestBatchEvaluation:
+    """predict_batch evaluates all rows at once; each row must come out as
+    the independent interpreter says, across the 64-bit word boundaries."""
+
+    def check(self, net, rows):
+        got = predict_batch(net, rows)
+        assert len(got) == len(rows)
+        for bits, (cls, scores, conf) in zip(rows, got):
+            assert (cls, scores.scores, conf) == reference_prediction(net, bits)
+            assert forward(net, bits) == interpret(net, bits)
+
+    @pytest.mark.parametrize("num_classes,block_size", [(2, 8), (3, 6)])
+    @pytest.mark.parametrize("num_rows", [1, 63, 64, 65, 200])
+    def test_all_op_codes(self, num_classes, block_size, num_rows):
+        net = all_ops_net(num_classes, block_size)
+        rng = random.Random(num_rows)
+        rows = [tuple(rng.randrange(2) for _ in range(4)) for _ in range(num_rows)]
+        self.check(net, rows)
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("num_rows", [1, 63, 64, 65, 200])
+    def test_random_nets(self, num_classes, num_rows):
+        net = random_netlist(10, [12, 9, 3 * num_classes], num_classes, 3, seed=num_rows)
+        rng = random.Random(num_classes)
+        rows = [tuple(rng.randrange(2) for _ in range(10)) for _ in range(num_rows)]
+        self.check(net, rows)
+
+    def test_all_zero_and_ties(self):
+        # Outputs copy the inputs, one output per class: 00 is all-zero,
+        # 11 is a tie, and both go to class 0 with confidence 1/2.
+        net = Netlist(2, ((Gate(12, input_ref(0), input_ref(0)),
+                           Gate(12, input_ref(1), input_ref(1))),), 2, 1)
+        rows = [(0, 0), (1, 1), (0, 1), (1, 0)] * 17
+        got = [(cls, s.scores, conf) for cls, s, conf in predict_batch(net, rows)]
+        expected = {
+            (0, 0): (0, (0, 0), Fraction(1, 2)),
+            (1, 1): (0, (1, 1), Fraction(1, 2)),
+            (0, 1): (1, (0, 1), Fraction(1)),
+            (1, 0): (0, (1, 0), Fraction(1)),
+        }
+        assert got == [expected[r] for r in rows]
+
+    def test_constant_blocks_in_batch(self):
+        zero = const_block_net([0, 0, 0], 3, 2)
+        tie = const_block_net([2, 2, 1], 3, 2)
+        rows = [(r & 1, r >> 1 & 1) for r in range(65)]
+        assert {(c, s.scores, f) for c, s, f in predict_batch(zero, rows)} == {
+            (0, (0, 0, 0), Fraction(1, 3))
+        }
+        assert {(c, s.scores, f) for c, s, f in predict_batch(tie, rows)} == {
+            (0, (2, 2, 1), Fraction(2, 5))
+        }
+
+    def test_width_mismatch_in_any_row(self):
+        with pytest.raises(DataError):
+            predict_batch(const_block_net([1, 1], 2, 1), [(0, 0), (0,)])
 
 
 class TestCheckPhi:

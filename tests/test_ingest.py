@@ -5,7 +5,7 @@ import pytest
 
 from lgnsat.errors import DataError
 from lgnsat.evaluator import predict
-from lgnsat.ingest import Dataset, accuracy, decode_bits, encode_row, load_csv
+from lgnsat.ingest import Dataset, accuracy, encode_row, load_csv
 from lgnsat.netlist import Gate, Netlist, input_ref
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 
@@ -46,6 +46,25 @@ class TestEncodeRow:
         with pytest.raises(DataError, match="outside"):
             encode_row(schema, ["-0.5"])
 
+    def test_bucket_boundaries(self):
+        # Equal-width cuts of [0, 4] over 3 bits fall on 1, 2 and 3; a value
+        # on a cut goes to the bucket above it.
+        f = NumericFeature("v", 3, 0.0, 4.0)
+        assert f.cut_points() == (1.0, 2.0, 3.0)
+        values = (0.0, 0.999, 1.0, 1.5, 2.0, 2.999, 3.0, 4.0)
+        assert [f.bucket_of(v) for v in values] == [0, 0, 1, 1, 2, 2, 3, 3]
+        g = NumericFeature("h", 3, 0.0, 80.0, thresholds=(10.0, 25.0, 40.0))
+        values = (0.0, 9.99, 10.0, 24.9, 25.0, 40.0, 80.0)
+        assert [g.bucket_of(v) for v in values] == [0, 0, 1, 1, 2, 3, 3]
+        for outside in (-0.001, 4.001):
+            with pytest.raises(DataError, match="outside"):
+                f.bucket_of(outside)
+
+    def test_thresholds_must_ascend(self):
+        f = NumericFeature("h", 3, 0.0, 80.0, thresholds=(25.0, 10.0, 40.0))
+        violations = FeatureSchema((f,)).invariant_violations()
+        assert any("not ascending" in v for v in violations)
+
     def test_unknown_category_rejected(self):
         schema = FeatureSchema((CategoricalFeature("c", 3),))
         with pytest.raises(DataError, match="unknown category"):
@@ -69,7 +88,7 @@ class TestEncodeRow:
                     expected.append(cat)
             bits = encode_row(schema, raw)
             assert schema.well_formed(bits)
-            assert decode_bits(schema, bits) == tuple(expected)
+            assert schema.decode_bits(bits) == tuple(expected)
 
     def test_encoded_rows_always_well_formed(self):
         schema = adult_like_schema()
@@ -87,18 +106,18 @@ class TestEncodeRow:
 class TestDecodeBits:
     def test_thermometer(self):
         schema = FeatureSchema((NumericFeature("f", 3, 0.0, 3.0),))
-        assert decode_bits(schema, (1, 1, 0)) == (2,)
+        assert schema.decode_bits((1, 1, 0)) == (2,)
 
     def test_non_monotone_rejected(self):
         schema = FeatureSchema((NumericFeature("f", 3, 0.0, 3.0),))
         with pytest.raises(DataError, match="thermometer"):
-            decode_bits(schema, (0, 1, 0))
+            schema.decode_bits((0, 1, 0))
 
     def test_one_hot(self):
         schema = FeatureSchema((CategoricalFeature("c", 4),))
-        assert decode_bits(schema, (0, 1, 0, 0)) == (1,)
+        assert schema.decode_bits((0, 1, 0, 0)) == (1,)
         with pytest.raises(DataError, match="one-hot"):
-            decode_bits(schema, (0, 1, 1, 0))
+            schema.decode_bits((0, 1, 1, 0))
 
     def test_re_encode_is_identity(self):
         schema = adult_like_schema()
@@ -111,7 +130,7 @@ class TestDecodeBits:
                 for f in schema.features
             )
             bits = schema.encode_values(values)
-            assert schema.encode_values(decode_bits(schema, bits)) == bits
+            assert schema.encode_values(schema.decode_bits(bits)) == bits
 
 
 CSV_TEXT = """v,s,label
@@ -189,6 +208,23 @@ class TestAccuracy:
         data = Dataset(schema, ((("0", "0"), 2),))
         with pytest.raises(DataError, match="label"):
             accuracy(self.constant_class0_net(schema.width), data)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counts_rows_where_predict_matches_label(self, seed):
+        from lgnsat.netlist import random_netlist
+
+        schema = small_schema()
+        rng = random.Random(seed)
+        rows = tuple(
+            ((str(rng.randrange(3)), str(rng.randrange(2))), rng.randrange(3))
+            for _ in range(130)
+        )
+        net = random_netlist(schema.width, [9, 6], 3, 2, seed=seed)
+        hits = sum(
+            predict(net, encode_row(schema, values))[0] == label
+            for values, label in rows
+        )
+        assert accuracy(net, Dataset(schema, rows)) == Fraction(hits, len(rows))
 
     def test_random_net_near_chance_on_balanced_data(self):
         from lgnsat.netlist import random_netlist

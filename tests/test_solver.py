@@ -90,6 +90,13 @@ class TestSolverDiscovery:
         monkeypatch.setenv("LGNSAT_SOLVER", str(exe))
         assert find_solver() == str(exe)
 
+    def test_builtin_needs_python3_on_path(self, monkeypatch, tmp_path):
+        # The built-in cannot start without python3, so it is not chosen.
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.delenv("LGNSAT_SOLVER", raising=False)
+        with pytest.raises(SolverNotFoundError):
+            find_solver()
+
     def test_env_override_must_exist(self, monkeypatch):
         monkeypatch.setenv("LGNSAT_SOLVER", "no-such-solver-here")
         with pytest.raises(SolverNotFoundError):
