@@ -56,10 +56,6 @@ def log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _frac(value: Fraction) -> dict:
     return {"exact": str(value), "float": float(value)}
 
@@ -78,16 +74,17 @@ def emit(report: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _input_entry(path: str) -> dict:
-    return {"path": path, "sha256": _sha256(path)}
-
-
-def _load_netlist(path: str):
-    return parse_netlist(Path(path).read_bytes())
-
-
-def _load_schema(path: str):
-    return parse_schema(Path(path).read_bytes())
+def _read_inputs(args, *roles: str) -> tuple[dict, list[bytes]]:
+    """Read each named input file once. Returns the report's ``inputs``
+    entry (path and the sha256 of the bytes read, per role) and the bytes,
+    in role order, for parsing."""
+    inputs, data = {}, []
+    for role in roles:
+        path = getattr(args, role)
+        raw = Path(path).read_bytes()
+        inputs[role] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
+        data.append(raw)
+    return inputs, data
 
 
 def _solver_config(args) -> SolverConfig:
@@ -99,9 +96,9 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
-def _witness_side(schema, bits, values, cls, conf) -> dict:
+def _witness_side(schema, side) -> dict:
     features = []
-    for f, v in zip(schema.features, values):
+    for f, v in zip(schema.features, side.values):
         entry = {"name": f.name, "value": v}
         if isinstance(f, NumericFeature):
             lo, hi = f.bucket_interval(v)
@@ -110,23 +107,17 @@ def _witness_side(schema, bits, values, cls, conf) -> dict:
             entry["sensitive"] = f.sensitive
         features.append(entry)
     return {
-        "bits": "".join(map(str, bits)),
+        "bits": "".join(map(str, side.bits)),
         "features": features,
-        "class": cls,
-        "confidence": _frac(conf),
+        "class": side.cls,
+        "confidence": _frac(side.conf),
     }
 
 
 def _witness_json(schema, witness) -> dict:
     return {
-        "x": _witness_side(
-            schema, witness.x_bits, witness.x_values, witness.x_class,
-            witness.x_confidence,
-        ),
-        "x_prime": _witness_side(
-            schema, witness.x_prime_bits, witness.x_prime_values,
-            witness.x_prime_class, witness.x_prime_confidence,
-        ),
+        "x": _witness_side(schema, witness.x),
+        "x_prime": _witness_side(schema, witness.x_prime),
     }
 
 
@@ -142,12 +133,10 @@ def _stats_json(stats) -> dict:
 
 
 def cmd_validate(args) -> int:
-    inputs = {"netlist": _input_entry(args.netlist)}
-    netlist = parse_netlist(Path(args.netlist).read_bytes(), run_validation=False)
-    schema = None
-    if args.schema:
-        inputs["schema"] = _input_entry(args.schema)
-        schema = _load_schema(args.schema)
+    roles = ("netlist", "schema") if args.schema else ("netlist",)
+    inputs, (net_data, *schema_data) = _read_inputs(args, *roles)
+    netlist = parse_netlist(net_data, run_validation=False)
+    schema = parse_schema(schema_data[0]) if schema_data else None
     report = validate(netlist, schema)
     emit(_report(args, inputs, {"ok": report.ok, "violations": list(report.violations)}))
     if report.ok:
@@ -158,12 +147,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inputs = {
-        "netlist": _input_entry(args.netlist),
-        "schema": _input_entry(args.schema),
-    }
-    netlist = _load_netlist(args.netlist)
-    schema = _load_schema(args.schema)
+    inputs, (net_data, schema_data) = _read_inputs(args, "netlist", "schema")
+    netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
     kappa = Fraction(args.kappa)
     verdict = verify_at(netlist, schema, args.mode, args.eps, kappa, _solver_config(args))
     result = {
@@ -180,12 +165,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search_kappa(args) -> int:
-    inputs = {
-        "netlist": _input_entry(args.netlist),
-        "schema": _input_entry(args.schema),
-    }
-    netlist = _load_netlist(args.netlist)
-    schema = _load_schema(args.schema)
+    inputs, (net_data, schema_data) = _read_inputs(args, "netlist", "schema")
+    netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
     config = _solver_config(args)
     result = search_min_kappa(
         netlist, schema, args.mode, args.eps, Fraction(args.tol), config
@@ -220,12 +201,8 @@ def cmd_search_kappa(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    inputs = {
-        "netlist": _input_entry(args.netlist),
-        "schema": _input_entry(args.schema),
-    }
-    netlist = _load_netlist(args.netlist)
-    schema = _load_schema(args.schema)
+    inputs, (net_data, schema_data) = _read_inputs(args, "netlist", "schema")
+    netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
     kappas = [Fraction(k) for k in args.kappas.split(",") if k.strip()]
     rows = sweep(netlist, schema, args.mode, args.eps, kappas, _solver_config(args))
     payload = {
@@ -247,12 +224,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_attainable(args) -> int:
-    inputs = {
-        "netlist": _input_entry(args.netlist),
-        "schema": _input_entry(args.schema),
-    }
-    netlist = _load_netlist(args.netlist)
-    schema = _load_schema(args.schema)
+    inputs, (net_data, schema_data) = _read_inputs(args, "netlist", "schema")
+    netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
     kappa = Fraction(args.kappa)
     attainable = check_attainable(netlist, schema, kappa, _solver_config(args))
     emit(_report(args, inputs, {"kappa": _frac(kappa), "attainable": attainable}))
@@ -261,12 +234,8 @@ def cmd_attainable(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    inputs = {
-        "netlist": _input_entry(args.netlist),
-        "schema": _input_entry(args.schema),
-    }
-    netlist = _load_netlist(args.netlist)
-    schema = _load_schema(args.schema)
+    inputs, (net_data, schema_data) = _read_inputs(args, "netlist", "schema")
+    netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
     query = PropertyQuery(args.mode, args.eps, Fraction(args.kappa))
     formula, varmap = build_query(netlist, schema, query)
     dimacs = to_dimacs(formula)
@@ -306,12 +275,8 @@ def cmd_gen_random(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    inputs = {
-        "netlist": _input_entry(args.netlist),
-        "schema": _input_entry(args.schema),
-    }
-    netlist = _load_netlist(args.netlist)
-    schema = _load_schema(args.schema)
+    inputs, (net_data, schema_data) = _read_inputs(args, "netlist", "schema")
+    netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
     if (args.row is None) == (args.bits is None):
         raise QueryBuildError("eval needs exactly one of --row or --bits")
     if args.row is not None:
@@ -337,14 +302,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_accuracy(args) -> int:
-    inputs = {
-        "netlist": _input_entry(args.netlist),
-        "schema": _input_entry(args.schema),
-        "csv": _input_entry(args.csv),
-    }
-    netlist = _load_netlist(args.netlist)
-    schema = _load_schema(args.schema)
-    dataset = load_csv(schema, args.csv, label_col=args.label_col)
+    inputs, (net_data, schema_data, csv_data) = _read_inputs(
+        args, "netlist", "schema", "csv"
+    )
+    netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
+    dataset = load_csv(schema, csv_data.decode("utf-8"), label_col=args.label_col)
     acc = accuracy(netlist, dataset)
     result = {"rows": len(dataset.rows), "accuracy": _frac(acc)}
     emit(_report(args, inputs, result))

@@ -23,7 +23,7 @@ from .evaluator import (
 )
 from .netlist import Netlist
 from .schema import FeatureSchema
-from .solver import SolverConfig, decode_counterexample, lit_value
+from .solver import SolverConfig, decode_counterexample
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def check_attainable(
     outcome = sat.solve(formula, config)
     if outcome.status != sat.SAT:
         return False
-    bits = tuple(int(lit_value(outcome.model, l)) for l in varmap.in_lits)
+    bits = sat.read_bits(outcome.model, varmap.copies[0].inputs)
     if not schema.well_formed(bits):
         raise EncodingConsistencyError("attainability witness bits ill-formed")
     _, scores, conf = predict(netlist, bits)

@@ -9,17 +9,20 @@ property holds at the queried threshold.
 
 The attainability query keeps a single copy and asks for any well-formed
 input that clears the threshold with at least one output bit set.
+
+Each copy's literals form one ``CopyLits`` record, and the ``VarMap`` of a
+query holds one record per copy: x alone, or x then x'.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cnf import FALSE_LIT, CnfBuilder, CnfFormula, Lit
-from .errors import QueryBuildError
+from .errors import InvalidNetlistError, QueryBuildError
 from .evaluator import FAIR, ROBUST
-from .netlist import Netlist, check_valid
+from .netlist import Netlist, schema_violations
 from .schema import FeatureSchema, NumericFeature
 
 ATTAINABLE = "attainable"
@@ -44,56 +47,52 @@ class PropertyQuery:
 
 
 @dataclass(frozen=True)
+class CopyLits:
+    """Literals of one network copy: its input bits, its output bits in
+    block order, each class block sorted descending, and its winner flags
+    (empty for single-copy queries)."""
+
+    inputs: tuple[Lit, ...]
+    outputs: tuple[Lit, ...]
+    sorted_blocks: tuple[tuple[Lit, ...], ...]
+    winners: tuple[Lit, ...] = ()
+
+
+@dataclass(frozen=True)
 class VarMap:
     """Semantic roles -> literal vectors, for decoding and debugging.
 
-    Primed fields are None for single-copy (attainability) queries. Literals
-    may be folded constants (+/-1) or aliases; the underlying variable sets
-    of the two copies are disjoint apart from constants.
+    ``copies`` holds one CopyLits for attainability queries and two, x then
+    x', for fair and robust queries. Literals may be folded constants (+/-1)
+    or aliases; the underlying variable sets of the two copies are disjoint
+    apart from constants. ``total_sorted`` sorts the first copy's outputs.
     """
 
     query: PropertyQuery
-    in_lits: tuple[Lit, ...]
-    out_lits: tuple[Lit, ...]
-    sorted_blocks: tuple[tuple[Lit, ...], ...]
+    copies: tuple[CopyLits, ...]
     total_sorted: tuple[Lit, ...]
-    winners: tuple[Lit, ...] | None
-    in_prime_lits: tuple[Lit, ...] | None
-    out_prime_lits: tuple[Lit, ...] | None
-    sorted_blocks_prime: tuple[tuple[Lit, ...], ...] | None
-    winners_prime: tuple[Lit, ...] | None
 
     def sidecar(self) -> str:
-        """Role -> literal list sidecar text, one line per role."""
-        def fmt(name, lits):
-            if lits is None:
-                return None
-            if lits and isinstance(lits[0], tuple):
-                return "\n".join(
-                    f"{name}.{i} " + " ".join(map(str, blk))
-                    for i, blk in enumerate(lits)
-                )
+        """Role -> literal list sidecar text, one line per role; the second
+        copy's roles carry a ``_prime`` suffix."""
+        def line(name, lits):
             return f"{name} " + " ".join(map(str, lits))
 
+        named = list(zip(("", "_prime"), self.copies))
         lines = [
             f"mode {self.query.mode}",
             f"eps {self.query.eps}",
             f"kappa {self.query.kappa}",
         ]
-        for name, lits in (
-            ("v_in", self.in_lits),
-            ("v_in_prime", self.in_prime_lits),
-            ("v_out", self.out_lits),
-            ("v_out_prime", self.out_prime_lits),
-            ("sorted_block", self.sorted_blocks),
-            ("sorted_block_prime", self.sorted_blocks_prime),
-            ("total_sorted", self.total_sorted),
-            ("winner", self.winners),
-            ("winner_prime", self.winners_prime),
-        ):
-            line = fmt(name, lits)
-            if line is not None:
-                lines.append(line)
+        lines += [line("v_in" + s, c.inputs) for s, c in named]
+        lines += [line("v_out" + s, c.outputs) for s, c in named]
+        lines += [
+            line(f"sorted_block{s}.{i}", blk)
+            for s, c in named
+            for i, blk in enumerate(c.sorted_blocks)
+        ]
+        lines.append(line("total_sorted", self.total_sorted))
+        lines += [line("winner" + s, c.winners) for s, c in named if c.winners]
         return "\n".join(lines) + "\n"
 
 
@@ -187,7 +186,7 @@ def emit_confidence_gt(
         b.add_clause([-total_sorted[i - 1]] + conclusion)
 
 
-def _encode_copy(b: CnfBuilder, netlist: Netlist, schema: FeatureSchema):
+def _encode_copy(b: CnfBuilder, netlist: Netlist, schema: FeatureSchema) -> CopyLits:
     """Fresh input variables, well-formedness, network, per-block sorts."""
     in_lits = b.new_vars(schema.width)
     emit_well_formed(b, schema, in_lits)
@@ -195,7 +194,7 @@ def _encode_copy(b: CnfBuilder, netlist: Netlist, schema: FeatureSchema):
     L = netlist.block_size
     blocks = [out_lits[c * L:(c + 1) * L] for c in range(netlist.num_classes)]
     sorted_blocks = tuple(tuple(b.sort_block(blk)) for blk in blocks)
-    return tuple(in_lits), tuple(out_lits), sorted_blocks
+    return CopyLits(tuple(in_lits), tuple(out_lits), sorted_blocks)
 
 
 def build_query(
@@ -210,34 +209,33 @@ def build_query(
     vacuously true on an all-zero output, while the oracle's degenerate
     confidence only clears thresholds below 1/C.
     """
-    check_valid(netlist, schema)
+    netlist.program  # compiling checks the netlist, before the schema and mode
+    violations = schema_violations(netlist, schema)
+    if violations:
+        raise InvalidNetlistError(violations)
     if query.mode == FAIR and not schema.sensitive_features():
         raise QueryBuildError("fair mode requires at least one sensitive feature")
 
     b = CnfBuilder()
-    in1, out1, sorted1 = _encode_copy(b, netlist, schema)
-    total_sorted = tuple(b.sort_block(list(out1)))
-    emit_confidence_gt(b, query.kappa, sorted1, total_sorted)
+    x = _encode_copy(b, netlist, schema)
+    total_sorted = tuple(b.sort_block(list(x.outputs)))
+    emit_confidence_gt(b, query.kappa, x.sorted_blocks, total_sorted)
 
     if query.mode == ATTAINABLE:
-        b.add_clause(out1)
-        varmap = VarMap(
-            query=query, in_lits=in1, out_lits=out1, sorted_blocks=sorted1,
-            total_sorted=total_sorted, winners=None, in_prime_lits=None,
-            out_prime_lits=None, sorted_blocks_prime=None, winners_prime=None,
-        )
-        return b.build(), varmap
+        b.add_clause(x.outputs)
+        return b.build(), VarMap(query, (x,), total_sorted)
 
     if query.kappa >= Fraction(1, netlist.num_classes):
-        b.add_clause(out1)
+        b.add_clause(x.outputs)
 
-    in2, out2, sorted2 = _encode_copy(b, netlist, schema)
-    winners1 = emit_winning(b, sorted1)
-    winners2 = emit_winning(b, sorted2)
-    emit_diff_class(b, winners1, winners2)
+    xp = _encode_copy(b, netlist, schema)
+    x, xp = (
+        replace(c, winners=tuple(emit_winning(b, c.sorted_blocks))) for c in (x, xp)
+    )
+    emit_diff_class(b, x.winners, xp.winners)
 
     for f, (start, end) in zip(schema.features, schema.bit_ranges()):
-        blk1, blk2 = in1[start:end], in2[start:end]
+        blk1, blk2 = x.inputs[start:end], xp.inputs[start:end]
         if isinstance(f, NumericFeature):
             emit_prox(b, query.eps, blk1, blk2)
         elif query.mode == FAIR and f.sensitive:
@@ -245,10 +243,4 @@ def build_query(
         else:
             emit_same_cat(b, blk1, blk2)
 
-    varmap = VarMap(
-        query=query, in_lits=in1, out_lits=out1, sorted_blocks=sorted1,
-        total_sorted=total_sorted, winners=tuple(winners1), in_prime_lits=in2,
-        out_prime_lits=out2, sorted_blocks_prime=sorted2,
-        winners_prime=tuple(winners2),
-    )
-    return b.build(), varmap
+    return b.build(), VarMap(query, (x, xp), total_sorted)

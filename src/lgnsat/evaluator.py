@@ -48,17 +48,22 @@ class ScoreVector:
 
 
 @dataclass(frozen=True)
-class Witness:
-    """Decoded counterexample pair with its concrete evaluation."""
+class InputRecord:
+    """One well-formed input with its concrete evaluation: per-feature
+    values, input bits, predicted class and exact confidence."""
 
-    x_bits: tuple[int, ...]
-    x_values: tuple[int, ...]
-    x_class: int
-    x_confidence: Fraction
-    x_prime_bits: tuple[int, ...]
-    x_prime_values: tuple[int, ...]
-    x_prime_class: int
-    x_prime_confidence: Fraction
+    values: tuple[int, ...]
+    bits: tuple[int, ...]
+    cls: int
+    conf: Fraction
+
+
+@dataclass(frozen=True)
+class Witness:
+    """Decoded counterexample pair (x, x'), each with its evaluation."""
+
+    x: InputRecord
+    x_prime: InputRecord
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,7 @@ _OPS = (
 def _output_words(netlist: Netlist, rows) -> list[int]:
     """Run the compiled program over all rows at once; returns one int per
     output bit, in block order, whose bit r is that output on row r."""
+    program = netlist.program
     for bits in rows:
         if len(bits) != netlist.input_width:
             raise DataError(
@@ -113,7 +119,7 @@ def _output_words(netlist: Netlist, rows) -> list[int]:
     values: list = [None] * (netlist.input_width + netlist.num_gates)
     for i, column in enumerate(zip(*rows)):
         values[i] = int("".join("1" if v else "0" for v in reversed(column)), 2)
-    for node, op, a, b in netlist.program:
+    for node, op, a, b in program:
         values[node] = _OPS[op](values[a], values[b], mask)
     return values[len(values) - netlist.num_outputs:]
 
@@ -227,14 +233,6 @@ def well_formed_count(schema: FeatureSchema) -> int:
     return w
 
 
-@dataclass(frozen=True)
-class _InputRecord:
-    values: tuple[int, ...]
-    bits: tuple[int, ...]
-    cls: int
-    conf: Fraction
-
-
 def _guard(schema: FeatureSchema) -> int:
     w = well_formed_count(schema)
     if w * w > MAX_PAIR_COUNT:
@@ -244,21 +242,13 @@ def _guard(schema: FeatureSchema) -> int:
     return w
 
 
-def _prediction_table(netlist: Netlist, schema: FeatureSchema) -> list[_InputRecord]:
+def _prediction_table(netlist: Netlist, schema: FeatureSchema) -> list[InputRecord]:
     inputs = [(v, schema.encode_values(v)) for v in enumerate_inputs(schema)]
     predictions = predict_batch(netlist, [bits for _, bits in inputs])
     return [
-        _InputRecord(values, bits, cls, conf)
+        InputRecord(values, bits, cls, conf)
         for (values, bits), (cls, _, conf) in zip(inputs, predictions)
     ]
-
-
-def _witness_from(x: _InputRecord, xp: _InputRecord) -> Witness:
-    return Witness(
-        x_bits=x.bits, x_values=x.values, x_class=x.cls, x_confidence=x.conf,
-        x_prime_bits=xp.bits, x_prime_values=xp.values, x_prime_class=xp.cls,
-        x_prime_confidence=xp.conf,
-    )
 
 
 def brute_force_verify(
@@ -281,7 +271,7 @@ def brute_force_verify(
                 continue
             if phi_on_values(x.values, xp.values, schema, eps, mode):
                 stats = VerdictStats(wall_time=time.monotonic() - started)
-                return Verdict(COUNTEREXAMPLE, _witness_from(x, xp), stats)
+                return Verdict(COUNTEREXAMPLE, Witness(x, xp), stats)
     return Verdict(HOLDS, stats=VerdictStats(wall_time=time.monotonic() - started))
 
 

@@ -25,7 +25,6 @@ class Dataset:
 
     schema: FeatureSchema
     rows: tuple[tuple[tuple, int], ...]
-    provenance: str = ""
 
 
 def encode_row(schema: FeatureSchema, raw_values) -> tuple[int, ...]:
@@ -59,50 +58,39 @@ def encode_row(schema: FeatureSchema, raw_values) -> tuple[int, ...]:
     return schema.encode_values(buckets)
 
 
-def load_csv(
-    schema: FeatureSchema,
-    text_or_path,
-    label_col: str = "label",
-    provenance: str = "",
-) -> Dataset:
-    """Read a header-bearing CSV whose columns include every schema feature
-    name plus the label column."""
-    if hasattr(text_or_path, "read"):
-        handle = text_or_path
-    elif isinstance(text_or_path, str) and "\n" in text_or_path:
-        handle = io.StringIO(text_or_path)
-    else:
-        handle = open(text_or_path, newline="")
-    with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DataError("CSV has no header row")
-        missing = [
-            f.name for f in schema.features if f.name not in reader.fieldnames
-        ]
-        if missing:
-            raise DataError(f"CSV is missing feature columns: {missing}")
-        if label_col not in reader.fieldnames:
-            raise DataError(f"CSV is missing label column {label_col!r}")
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            values = []
-            for f in schema.features:
-                cell = record[f.name]
-                if cell is None or cell.strip() == "":
-                    raise DataError(f"row {lineno}: missing value for {f.name!r}")
-                values.append(cell.strip())
-            try:
-                label = int(record[label_col])
-            except (TypeError, ValueError):
-                raise DataError(f"row {lineno}: non-integer label {record[label_col]!r}")
-            # Encode eagerly so range errors carry the row number.
-            try:
-                encode_row(schema, values)
-            except DataError as exc:
-                raise DataError(f"row {lineno}: {exc}")
-            rows.append((tuple(values), label))
-    return Dataset(schema, tuple(rows), provenance)
+def load_csv(schema: FeatureSchema, text: str, label_col: str = "label") -> Dataset:
+    """Parse CSV text with a header row whose columns include every schema
+    feature name plus the label column. Callers read the file themselves,
+    so the bytes they hash are the bytes parsed."""
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames is None:
+        raise DataError("CSV has no header row")
+    missing = [
+        f.name for f in schema.features if f.name not in reader.fieldnames
+    ]
+    if missing:
+        raise DataError(f"CSV is missing feature columns: {missing}")
+    if label_col not in reader.fieldnames:
+        raise DataError(f"CSV is missing label column {label_col!r}")
+    rows = []
+    for lineno, record in enumerate(reader, start=2):
+        values = []
+        for f in schema.features:
+            cell = record[f.name]
+            if cell is None or cell.strip() == "":
+                raise DataError(f"row {lineno}: missing value for {f.name!r}")
+            values.append(cell.strip())
+        try:
+            label = int(record[label_col])
+        except (TypeError, ValueError):
+            raise DataError(f"row {lineno}: non-integer label {record[label_col]!r}")
+        # Encode eagerly so range errors carry the row number.
+        try:
+            encode_row(schema, values)
+        except DataError as exc:
+            raise DataError(f"row {lineno}: {exc}")
+        rows.append((tuple(values), label))
+    return Dataset(schema, tuple(rows))
 
 
 def accuracy(netlist: Netlist, dataset: Dataset) -> Fraction:

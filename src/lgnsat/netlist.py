@@ -102,8 +102,11 @@ class Netlist:
 
         Entries are (node, op, node a, node b) in gate-id order, which is
         topological; gates no output depends on are left out. The output
-        bits are the last ``num_outputs`` nodes.
+        bits are the last ``num_outputs`` nodes. Compiling runs
+        ``check_valid`` first, so every consumer of the program (encoder,
+        evaluator, oracle) raises InvalidNetlistError on an invalid netlist.
         """
+        check_valid(self)
         gates = [g for layer in self.layers for g in layer]
         first_output = len(gates) - self.num_outputs
         live = [gid >= first_output for gid in range(len(gates))]
@@ -188,13 +191,20 @@ def validate(netlist: Netlist, schema=None) -> ValidationReport:
                 else:
                     v.append(f"{where} input {side}: unknown ref kind {ref.kind!r}")
     if schema is not None:
-        v.extend(schema.invariant_violations())
-        if schema.width != netlist.input_width:
-            v.append(
-                f"schema width {schema.width} != netlist input_width "
-                f"{netlist.input_width}"
-            )
+        v.extend(schema_violations(netlist, schema))
     return ValidationReport(tuple(v))
+
+
+def schema_violations(netlist: Netlist, schema) -> list[str]:
+    """The schema half of validate(): the schema's own invariants, and its
+    total bit width against the netlist's input width."""
+    v = schema.invariant_violations()
+    if schema.width != netlist.input_width:
+        v.append(
+            f"schema width {schema.width} != netlist input_width "
+            f"{netlist.input_width}"
+        )
+    return v
 
 
 def check_valid(netlist: Netlist, schema=None) -> None:
@@ -278,9 +288,10 @@ def _parse_layer_line(lineno: int, text: str) -> tuple[Gate, ...]:
 def parse_netlist(data: bytes | str, run_validation: bool = True) -> Netlist:
     """Parse the netlist file format.
 
-    Syntax problems raise NetlistFormatError with position info; with
-    ``run_validation`` (the default), structural violations raise
-    InvalidNetlistError afterwards.
+    Syntax problems raise NetlistFormatError with position info. With
+    ``run_validation`` (the default) the netlist is compiled before it is
+    returned, so structural violations raise InvalidNetlistError here and
+    the checked program is cached for the encoder and the evaluator.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     lines = [
@@ -308,7 +319,7 @@ def parse_netlist(data: bytes | str, run_validation: bool = True) -> Netlist:
         raise NetlistFormatError("truncated file: no layer lines", line=lines[-1][0])
     netlist = Netlist(input_width, tuple(layers), num_classes, block_size)
     if run_validation:
-        check_valid(netlist)
+        netlist.program  # compiling checks the netlist (and caches the program)
     return netlist
 
 

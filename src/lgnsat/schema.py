@@ -39,14 +39,12 @@ class NumericFeature:
         return False
 
     @cached_property
-    def _cuts(self) -> tuple[float, ...]:
+    def cut_points(self) -> tuple[float, ...]:
+        """Ascending bucket boundaries, one per bit, computed once."""
         if self.thresholds is not None:
             return self.thresholds
         step = (self.hi - self.lo) / (self.bits + 1)
         return tuple(self.lo + step * k for k in range(1, self.bits + 1))
-
-    def cut_points(self) -> tuple[float, ...]:
-        return self._cuts
 
     def bucket_of(self, value: float) -> int:
         """Number of cut points at or below ``value``: a value exactly on a
@@ -55,11 +53,11 @@ class NumericFeature:
             raise DataError(
                 f"feature {self.name!r}: value {value!r} outside [{self.lo}, {self.hi}]"
             )
-        return bisect_right(self._cuts, value)
+        return bisect_right(self.cut_points, value)
 
     def bucket_interval(self, bucket: int) -> tuple[float, float]:
         """Value interval [lo, hi) covered by a bucket index."""
-        cuts = (self.lo,) + self.cut_points() + (self.hi,)
+        cuts = (self.lo,) + self.cut_points + (self.hi,)
         return cuts[bucket], cuts[bucket + 1]
 
 
@@ -125,10 +123,6 @@ class FeatureSchema:
         return v
 
     # -- bit-pattern validity (shared by encoder and ingest) ---------------
-
-    def feature_bits(self, bits, index: int):
-        start, end = self.bit_ranges()[index]
-        return bits[start:end]
 
     def well_formed(self, bits) -> bool:
         try:

@@ -1,19 +1,20 @@
 """External SAT solver protocol and counterexample decoding.
 
-The backend stays solver-agnostic: any executable that reads a DIMACS file,
-prints ``s SATISFIABLE``/``s UNSATISFIABLE`` with ``v`` model lines, and
-exits 10/20 works. The preferred solver is kissat; the LGNSAT_SOLVER
-environment variable overrides it, and a small fallback list of well-known
-solvers is probed when kissat is absent. When none of those is on PATH, the
-built-in ``cdcl.py`` next to this module runs as the last fallback: it
-speaks the same protocol, needs only ``python3`` on PATH, and is much slower
-than kissat on large queries. An explicit executable or an LGNSAT_SOLVER
-value that does not resolve is an error and never falls back to it.
+The backend stays solver-agnostic: any executable that reads a DIMACS file
+(its only argument), prints ``s SATISFIABLE``/``s UNSATISFIABLE`` with ``v``
+model lines, and exits 10/20 works. Each query goes to a temp file that is
+removed once the solver exits or times out. The preferred solver is kissat;
+the LGNSAT_SOLVER environment variable overrides it, and a small fallback
+list of well-known solvers is probed when kissat is absent. When none of
+those is on PATH, the built-in ``cdcl.py`` next to this module runs as the
+last fallback: it speaks the same protocol, needs only ``python3`` on PATH,
+and is much slower than kissat on large queries. An explicit executable or
+an LGNSAT_SOLVER value that does not resolve is an error and never falls
+back to it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import shutil
 import subprocess
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from .cnf import CnfFormula, to_dimacs
 from .errors import DataError, EncodingConsistencyError, SolverNotFoundError, SolverOutputError
-from .evaluator import Witness, check_phi, predict
+from .evaluator import InputRecord, Witness, check_phi, predict
 from .netlist import Netlist
 from .schema import FeatureSchema
 
@@ -40,16 +41,13 @@ BUILTIN_SOLVER = str(Path(__file__).with_name("cdcl.py"))
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """How to run the external solver.
-
-    ``work_dir`` keeps DIMACS files around for post-mortem debugging; with
-    the default None a temp file is used and removed afterwards.
-    """
+    """How to run the external solver: which executable, and how many
+    seconds to wait for it. ``solve()`` writes each query to a temp file and
+    removes it afterwards; ``lgnsat encode -o`` writes the same DIMACS for a
+    post-mortem."""
 
     executable: str = DEFAULT_SOLVER
     timeout: float = 300.0
-    extra_args: tuple[str, ...] = ()
-    work_dir: str | None = None
 
     def __post_init__(self):
         if self.timeout <= 0:
@@ -131,7 +129,8 @@ def _parse_model(stdout: str, num_vars: int) -> tuple[bool, ...]:
 
 
 def solve(formula: CnfFormula, config: SolverConfig | None = None) -> SolveOutcome:
-    """Write DIMACS, run the solver, interpret exit code 10/20.
+    """Write DIMACS to a temp file, run the solver on it, interpret exit
+    code 10/20; the temp file is removed in every case.
 
     Timeouts and unexpected exit codes map to UNKNOWN (recorded, not
     raised); a missing solver or unreadable output raises.
@@ -139,30 +138,19 @@ def solve(formula: CnfFormula, config: SolverConfig | None = None) -> SolveOutco
     config = config or SolverConfig()
     exe = find_solver(None if config.executable == DEFAULT_SOLVER else config.executable)
     dimacs = to_dimacs(formula)
-    digest = hashlib.sha256(dimacs).hexdigest()[:16]
-    if config.work_dir is not None:
-        os.makedirs(config.work_dir, exist_ok=True)
-        path = Path(config.work_dir) / f"query-{digest}.cnf"
-        cleanup = False
-    else:
-        fd, name = tempfile.mkstemp(prefix=f"lgnsat-{digest}-", suffix=".cnf")
-        os.close(fd)
-        path = Path(name)
-        cleanup = True
-    path.write_bytes(dimacs)
-    started = time.monotonic()
+    fd, name = tempfile.mkstemp(prefix="lgnsat-", suffix=".cnf")
+    path = Path(name)
     try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(dimacs)
+        started = time.monotonic()
         proc = subprocess.run(
-            [exe, *config.extra_args, str(path)],
-            capture_output=True,
-            text=True,
-            timeout=config.timeout,
+            [exe, str(path)], capture_output=True, text=True, timeout=config.timeout
         )
     except subprocess.TimeoutExpired:
         return SolveOutcome(UNKNOWN, None, time.monotonic() - started, None, ())
     finally:
-        if cleanup:
-            path.unlink(missing_ok=True)
+        path.unlink(missing_ok=True)
     wall = time.monotonic() - started
     stats = tuple(l for l in proc.stdout.splitlines() if l.startswith("c"))
     if proc.returncode == 10:
@@ -175,19 +163,16 @@ def solve(formula: CnfFormula, config: SolverConfig | None = None) -> SolveOutco
     return SolveOutcome(UNKNOWN, None, wall, proc.returncode, stats)
 
 
-def lit_value(model: tuple[bool, ...], lit: int) -> bool:
-    value = model[abs(lit)]
-    return value if lit > 0 else not value
-
-
 def read_bits(model: tuple[bool, ...], lits) -> tuple[int, ...]:
-    return tuple(int(lit_value(model, l)) for l in lits)
+    """The 0/1 values of ``lits`` under a model."""
+    return tuple(int(model[abs(l)] == (l > 0)) for l in lits)
 
 
 def decode_counterexample(
     model: tuple[bool, ...], varmap, schema: FeatureSchema, netlist: Netlist
 ) -> Witness:
-    """Extract the (x, x') pair from a SAT model and recheck it concretely.
+    """Extract the (x, x') pair, one record per network copy of ``varmap``,
+    from a SAT model and recheck it concretely.
 
     The recheck (classes differ, the similarity predicate holds, confidence
     strictly clears the threshold) must pass: a failure means the encoding
@@ -195,27 +180,24 @@ def decode_counterexample(
     report as a finding.
     """
     query = varmap.query
-    x_bits = read_bits(model, varmap.in_lits)
-    xp_bits = read_bits(model, varmap.in_prime_lits)
-    try:
-        x_values = schema.decode_bits(x_bits)
-        xp_values = schema.decode_bits(xp_bits)
-    except DataError as exc:
-        raise EncodingConsistencyError(f"model bits are not well-formed: {exc}")
-    x_cls, _, x_conf = predict(netlist, x_bits)
-    xp_cls, _, xp_conf = predict(netlist, xp_bits)
-    if x_cls == xp_cls:
+    records = []
+    for copy in varmap.copies:
+        bits = read_bits(model, copy.inputs)
+        try:
+            values = schema.decode_bits(bits)
+        except DataError as exc:
+            raise EncodingConsistencyError(f"model bits are not well-formed: {exc}")
+        cls, _, conf = predict(netlist, bits)
+        records.append(InputRecord(values, bits, cls, conf))
+    x, xp = records
+    if x.cls == xp.cls:
         raise EncodingConsistencyError(
-            f"decoded pair predicts the same class {x_cls}"
+            f"decoded pair predicts the same class {x.cls}"
         )
-    if not check_phi(x_bits, xp_bits, schema, query.eps, query.mode):
+    if not check_phi(x.bits, xp.bits, schema, query.eps, query.mode):
         raise EncodingConsistencyError("decoded pair violates the similarity predicate")
-    if not x_conf > query.kappa:
+    if not x.conf > query.kappa:
         raise EncodingConsistencyError(
-            f"decoded confidence {x_conf} does not exceed kappa {query.kappa}"
+            f"decoded confidence {x.conf} does not exceed kappa {query.kappa}"
         )
-    return Witness(
-        x_bits=x_bits, x_values=x_values, x_class=x_cls, x_confidence=x_conf,
-        x_prime_bits=xp_bits, x_prime_values=xp_values, x_prime_class=xp_cls,
-        x_prime_confidence=xp_conf,
-    )
+    return Witness(x, xp)

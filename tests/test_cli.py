@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -277,6 +278,20 @@ class TestGenRandomEvalAccuracy:
         # flip net predicts the group bit itself: rows 1,2,4 are hits
         assert report["result"]["accuracy"]["exact"] == "3/5"
         assert report["result"]["rows"] == 5
+
+    def test_accuracy_reports_sha256_of_each_input(self, capsys, files, tmp_path):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("group,label\n0,0\n1,1\n")
+        paths = {"netlist": files["flip"], "schema": files["schema"], "csv": csv_path}
+        code, report = run_cli(
+            capsys, "accuracy", paths["netlist"], "-s", paths["schema"],
+            "--csv", paths["csv"],
+        )
+        assert code == 0
+        assert report["inputs"] == {
+            role: {"path": str(p), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+            for role, p in paths.items()
+        }
 
 
 class TestEntryPoint:

@@ -40,7 +40,7 @@ class TestVerifyAt:
     def test_flip_net_counterexample(self, flip_net, flip_schema, solver_config):
         verdict = verify_at(flip_net, flip_schema, "fair", 0, Fraction(1, 2), solver_config)
         assert verdict.status == COUNTEREXAMPLE
-        assert verdict.witness.x_confidence == 1
+        assert verdict.witness.x.conf == 1
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("mode", ["fair", "robust"])

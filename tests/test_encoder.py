@@ -272,9 +272,9 @@ class TestBuildQuery:
         used = {abs(l) for c in formula.clauses for l in c}
         assert max(used) <= formula.num_vars
         assert len(formula.clauses) >= 1
-        assert varmap.in_lits and varmap.in_prime_lits
-        in_vars = {abs(l) for l in varmap.in_lits}
-        in2_vars = {abs(l) for l in varmap.in_prime_lits}
+        assert varmap.copies[0].inputs and varmap.copies[1].inputs
+        in_vars = {abs(l) for l in varmap.copies[0].inputs}
+        in2_vars = {abs(l) for l in varmap.copies[1].inputs}
         assert not in_vars & in2_vars
 
     def test_sidecar_lists_all_roles(self, flip_net, flip_schema):
@@ -285,3 +285,17 @@ class TestBuildQuery:
         for role in ("v_in", "v_in_prime", "v_out", "v_out_prime",
                      "sorted_block.0", "total_sorted", "winner", "winner_prime"):
             assert role in text
+        blocks = range(flip_net.num_classes)
+        assert [line.split()[0] for line in text.splitlines()] == [
+            "mode", "eps", "kappa", "v_in", "v_in_prime", "v_out", "v_out_prime",
+            *(f"sorted_block.{c}" for c in blocks),
+            *(f"sorted_block_prime.{c}" for c in blocks),
+            "total_sorted", "winner", "winner_prime",
+        ]
+        _, single = build_query(
+            flip_net, flip_schema, PropertyQuery("attainable", 0, Fraction(1, 2))
+        )
+        assert [line.split()[0] for line in single.sidecar().splitlines()] == [
+            "mode", "eps", "kappa", "v_in", "v_out",
+            *(f"sorted_block.{c}" for c in blocks), "total_sorted",
+        ]

@@ -251,11 +251,11 @@ class TestBruteForce:
         verdict = brute_force_verify(flip_net, flip_schema, FAIR, 0, Fraction(1, 2))
         assert verdict.status == COUNTEREXAMPLE
         w = verdict.witness
-        assert w.x_class != w.x_prime_class
-        assert w.x_confidence == 1
+        assert w.x.cls != w.x_prime.cls
+        assert w.x.conf == 1
         # first pair in lexicographic enumeration order
-        assert w.x_values == (0,)
-        assert w.x_prime_values == (1,)
+        assert w.x.values == (0,)
+        assert w.x_prime.values == (1,)
 
     def test_flip_net_min_kappa_is_one(self, flip_net, flip_schema):
         assert brute_force_min_kappa(flip_net, flip_schema, FAIR, 0) == 1

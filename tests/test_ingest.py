@@ -50,7 +50,7 @@ class TestEncodeRow:
         # Equal-width cuts of [0, 4] over 3 bits fall on 1, 2 and 3; a value
         # on a cut goes to the bucket above it.
         f = NumericFeature("v", 3, 0.0, 4.0)
-        assert f.cut_points() == (1.0, 2.0, 3.0)
+        assert f.cut_points == (1.0, 2.0, 3.0)
         values = (0.0, 0.999, 1.0, 1.5, 2.0, 2.999, 3.0, 4.0)
         assert [f.bucket_of(v) for v in values] == [0, 0, 1, 1, 2, 2, 3, 3]
         g = NumericFeature("h", 3, 0.0, 80.0, thresholds=(10.0, 25.0, 40.0))

@@ -2,7 +2,9 @@ import pytest
 
 from helpers import NAMED_OPS
 
-from lgnsat.errors import NetlistFormatError
+from lgnsat.cnf import CnfBuilder
+from lgnsat.errors import InvalidNetlistError, NetlistFormatError
+from lgnsat.evaluator import forward, predict
 from lgnsat.netlist import (
     Gate,
     Netlist,
@@ -93,6 +95,27 @@ class TestValidate:
         net = Netlist(0, (), 1, 0)
         report = validate(net)
         assert len(report.violations) >= 4
+
+
+class TestInvalidNetlistRaises:
+    """Every consumer of the compiled program rejects an invalid netlist,
+    also one built directly rather than parsed."""
+
+    @pytest.mark.parametrize("bad_ref", [gate_ref(0), input_ref(5)])
+    def test_predict_forward_and_encoder(self, bad_ref):
+        net = Netlist(
+            2,
+            ((Gate(8, bad_ref, input_ref(1)), Gate(14, input_ref(0), input_ref(1))),),
+            2,
+            1,
+        )
+        with pytest.raises(InvalidNetlistError):
+            predict(net, (0, 1))
+        with pytest.raises(InvalidNetlistError):
+            forward(net, (0, 1))
+        b = CnfBuilder()
+        with pytest.raises(InvalidNetlistError):
+            b.encode_network(net, b.new_vars(2))
 
 
 class TestFileFormat:

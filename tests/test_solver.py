@@ -2,6 +2,7 @@ import os
 import random
 import stat
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,11 +62,18 @@ class TestSolve:
         assert outcome.status == SAT
         assert outcome.wall_time < 1.0
 
-    def test_work_dir_keeps_query_file(self, tmp_path, solver_config):
-        config = SolverConfig(timeout=60.0, work_dir=str(tmp_path))
-        solve(trivial_sat(), config)
-        files = list(tmp_path.glob("query-*.cnf"))
-        assert len(files) == 1
+    def test_no_query_file_left_behind(self, tmp_path, monkeypatch, solver_config):
+        temp_dir = tmp_path / "tmp"
+        temp_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+        assert solve(trivial_sat(), solver_config).status == SAT
+        assert list(temp_dir.iterdir()) == []
+        exe = tmp_path / "slow-solver"
+        exe.write_text("#!/bin/sh\nexec sleep 60\n")
+        exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
+        outcome = solve(trivial_sat(), SolverConfig(executable=str(exe), timeout=0.2))
+        assert outcome.status == UNKNOWN
+        assert list(temp_dir.iterdir()) == []
 
     def test_timeout_maps_to_unknown(self, tmp_path):
         # a fake solver that sleeps forever
@@ -231,9 +239,9 @@ class TestDecode:
         outcome = solve(formula, solver_config)
         assert outcome.status == SAT
         witness = decode_counterexample(outcome.model, varmap, flip_schema, flip_net)
-        assert witness.x_class != witness.x_prime_class
+        assert witness.x.cls != witness.x_prime.cls
         # the pair differs only in the sensitive feature (it is the only one)
-        assert witness.x_values != witness.x_prime_values
+        assert witness.x.values != witness.x_prime.values
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_sat_witnesses_recheck(self, seed, solver_config):
@@ -250,6 +258,6 @@ class TestDecode:
         if outcome.status != SAT:
             return
         witness = decode_counterexample(outcome.model, varmap, schema, net)
-        assert witness.x_class != witness.x_prime_class
-        assert witness.x_confidence > Fraction(1, 2)
-        assert check_phi(witness.x_bits, witness.x_prime_bits, schema, 1, "fair")
+        assert witness.x.cls != witness.x_prime.cls
+        assert witness.x.conf > Fraction(1, 2)
+        assert check_phi(witness.x.bits, witness.x_prime.bits, schema, 1, "fair")
