@@ -12,10 +12,15 @@ variables always agree with the concrete forward pass.
 Networks are encoded from ``Netlist.program``, the same compiled,
 cone-pruned gate list the evaluator runs, so gates no output depends on
 get no variables.
+
+Cardinalities are unary sorts built from Batcher odd-even merges of sorted
+runs: each class block is sorted from single literals, and the total count
+merges the already sorted blocks instead of sorting all outputs again.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .netlist import Netlist
@@ -38,8 +43,7 @@ class CnfFormula:
 def to_dimacs(formula: CnfFormula) -> bytes:
     """Standard DIMACS CNF bytes; deterministic for a given formula."""
     lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
-    for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    lines += [" ".join(map(str, clause)) + " 0" for clause in formula.clauses]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -168,29 +172,47 @@ class CnfBuilder:
     # -- sorting network -----------------------------------------------------
 
     def comparator(self, a: Lit, b: Lit) -> tuple[Lit, Lit]:
-        """2-input comparator: (hi, lo) = (a OR b, a AND b)."""
-        return self.lit_or(a, b), self.lit_and(a, b)
+        """2-input comparator: (hi, lo) = (a OR b, a AND b).
 
-    def sort_block(self, lits) -> list[Lit]:
-        """Unary (descending) sort via Batcher's odd-even merge network.
-
-        Output s[k] is true iff at least k+1 inputs are true. Inputs are
-        padded with constant FALSE to the next power of two; the padding
-        outputs fall off the discarded tail.
+        Two distinct non-constant inputs take two fresh variables and the
+        six clauses ``lit_or`` and ``lit_and`` would emit, appended without
+        normalisation; constants and ``a == +/-b`` fold through them.
         """
-        n = len(lits)
-        if n == 1:
-            return list(lits)
-        size = 1 << (n - 1).bit_length()
-        padded = list(lits) + [FALSE_LIT] * (size - n)
-        ascending = self._oe_sort(padded)
-        return ascending[::-1][:n]
+        if abs(a) == 1 or abs(b) == 1 or abs(a) == abs(b):
+            return self.lit_or(a, b), self.lit_and(a, b)
+        hi = self.num_vars + 1
+        lo = self.num_vars = hi + 1
+        self.clauses += [
+            (hi, -a), (hi, -b), (-hi, a, b), (-lo, a), (-lo, b), (lo, -a, -b)
+        ]
+        return hi, lo
 
-    def _oe_sort(self, xs: list[Lit]) -> list[Lit]:
-        if len(xs) == 1:
-            return xs
-        half = len(xs) // 2
-        return self._oe_merge(self._oe_sort(xs[:half]), self._oe_sort(xs[half:]))
+    def sort_block(self, lits, run: int = 1) -> list[Lit]:
+        """Unary (descending) sort of ``lits``, read as a concatenation of
+        descending runs of ``run`` literals (the last may be shorter).
+
+        Output s[k] is true iff at least k+1 inputs are true. The two
+        shortest runs are merged first (ties in input order) by Batcher's
+        odd-even merge; each merge pads only its own two runs with constant
+        FALSE to a shared power of two, and the padding falls off the low
+        end. ``run=1`` sorts arbitrary literals; sorted class blocks with
+        ``run`` set to the block size merge without being sorted again.
+        """
+        lits = list(lits)
+        # Runs are kept ascending, the order _oe_merge works in.
+        runs = [lits[k:k + run][::-1] for k in range(0, len(lits), run)]
+        heap = [(len(r), i, r) for i, r in enumerate(runs)]
+        heapq.heapify(heap)
+        order = len(heap)
+        while len(heap) > 1:
+            (na, _, a), (nb, _, b) = heapq.heappop(heap), heapq.heappop(heap)
+            size = 1 << (max(na, nb) - 1).bit_length()
+            merged = self._oe_merge(
+                [FALSE_LIT] * (size - na) + a, [FALSE_LIT] * (size - nb) + b
+            )
+            heapq.heappush(heap, (na + nb, order, merged[2 * size - na - nb:]))
+            order += 1
+        return heap[0][2][::-1] if heap else []
 
     def _oe_merge(self, a: list[Lit], b: list[Lit]) -> list[Lit]:
         # Inputs sorted ascending, equal power-of-two lengths.

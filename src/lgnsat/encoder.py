@@ -65,7 +65,8 @@ class VarMap:
     ``copies`` holds one CopyLits for attainability queries and two, x then
     x', for fair and robust queries. Literals may be folded constants (+/-1)
     or aliases; the underlying variable sets of the two copies are disjoint
-    apart from constants. ``total_sorted`` sorts the first copy's outputs.
+    apart from constants. ``total_sorted`` is the first copy's outputs,
+    merged from its sorted blocks.
     """
 
     query: PropertyQuery
@@ -218,7 +219,9 @@ def build_query(
 
     b = CnfBuilder()
     x = _encode_copy(b, netlist, schema)
-    total_sorted = tuple(b.sort_block(list(x.outputs)))
+    total_sorted = tuple(
+        b.sort_block([l for blk in x.sorted_blocks for l in blk], run=netlist.block_size)
+    )
     emit_confidence_gt(b, query.kappa, x.sorted_blocks, total_sorted)
 
     if query.mode == ATTAINABLE:

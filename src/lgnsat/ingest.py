@@ -21,10 +21,17 @@ from .schema import CategoricalFeature, FeatureSchema, NumericFeature
 @dataclass(frozen=True)
 class Dataset:
     """Parsed rows: per-row raw feature values plus a class label in
-    0..C-1 (labels are 0-based, like every other index in this toolkit)."""
+    0..C-1 (labels are 0-based, like every other index in this toolkit),
+    and each row's input bits, encoded here unless the caller passes them."""
 
     schema: FeatureSchema
     rows: tuple[tuple[tuple, int], ...]
+    bits: tuple[tuple[int, ...], ...] | None = None
+
+    def __post_init__(self):
+        if self.bits is None:
+            bits = tuple(encode_row(self.schema, values) for values, _ in self.rows)
+            object.__setattr__(self, "bits", bits)
 
 
 def encode_row(schema: FeatureSchema, raw_values) -> tuple[int, ...]:
@@ -72,7 +79,7 @@ def load_csv(schema: FeatureSchema, text: str, label_col: str = "label") -> Data
         raise DataError(f"CSV is missing feature columns: {missing}")
     if label_col not in reader.fieldnames:
         raise DataError(f"CSV is missing label column {label_col!r}")
-    rows = []
+    rows, bits = [], []
     for lineno, record in enumerate(reader, start=2):
         values = []
         for f in schema.features:
@@ -86,11 +93,11 @@ def load_csv(schema: FeatureSchema, text: str, label_col: str = "label") -> Data
             raise DataError(f"row {lineno}: non-integer label {record[label_col]!r}")
         # Encode eagerly so range errors carry the row number.
         try:
-            encode_row(schema, values)
+            bits.append(encode_row(schema, values))
         except DataError as exc:
             raise DataError(f"row {lineno}: {exc}")
         rows.append((tuple(values), label))
-    return Dataset(schema, tuple(rows))
+    return Dataset(schema, tuple(rows), tuple(bits))
 
 
 def accuracy(netlist: Netlist, dataset: Dataset) -> Fraction:
@@ -108,9 +115,7 @@ def accuracy(netlist: Netlist, dataset: Dataset) -> Fraction:
             raise DataError(
                 f"label {label} outside 0..{netlist.num_classes - 1}"
             )
-    predictions = predict_batch(
-        netlist, [encode_row(dataset.schema, values) for values, _ in dataset.rows]
-    )
+    predictions = predict_batch(netlist, dataset.bits)
     hits = sum(
         cls == label for (cls, _, _), (_, label) in zip(predictions, dataset.rows)
     )

@@ -3,20 +3,22 @@
 The backend stays solver-agnostic: any executable that reads a DIMACS file
 (its only argument), prints ``s SATISFIABLE``/``s UNSATISFIABLE`` with ``v``
 model lines, and exits 10/20 works. Each query goes to a temp file that is
-removed once the solver exits or times out. The preferred solver is kissat;
-the LGNSAT_SOLVER environment variable overrides it, and a small fallback
-list of well-known solvers is probed when kissat is absent. When none of
-those is on PATH, the built-in ``cdcl.py`` next to this module runs as the
-last fallback: it speaks the same protocol, needs only ``python3`` on PATH,
-and is much slower than kissat on large queries. An explicit executable or
-an LGNSAT_SOLVER value that does not resolve is an error and never falls
-back to it.
+removed once the solver exits or times out. A timeout kills the solver's
+whole process group, so a wrapper script leaves nothing running. The
+preferred solver is kissat; the LGNSAT_SOLVER environment variable
+overrides it, and a small fallback list of well-known solvers is probed
+when kissat is absent. When none of those is on PATH, the built-in
+``cdcl.py`` next to this module runs as the last fallback: it speaks the
+same protocol, needs only ``python3`` on PATH, and is much slower than
+kissat on large queries. An explicit executable or an LGNSAT_SOLVER value
+that does not resolve is an error and never falls back to it.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
@@ -144,19 +146,27 @@ def solve(formula: CnfFormula, config: SolverConfig | None = None) -> SolveOutco
         with os.fdopen(fd, "wb") as handle:
             handle.write(dimacs)
         started = time.monotonic()
-        proc = subprocess.run(
-            [exe, str(path)], capture_output=True, text=True, timeout=config.timeout
-        )
-    except subprocess.TimeoutExpired:
-        return SolveOutcome(UNKNOWN, None, time.monotonic() - started, None, ())
+        # Its own session makes the solver the leader of a process group,
+        # so a timeout ends every process it started, not just the first.
+        with subprocess.Popen(
+            [exe, str(path)], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True, start_new_session=True,
+        ) as proc:
+            try:
+                stdout, _ = proc.communicate(timeout=config.timeout)
+            except subprocess.TimeoutExpired:
+                return SolveOutcome(UNKNOWN, None, time.monotonic() - started, None, ())
+            finally:
+                if proc.returncode is None:  # not reaped, so the group is still ours
+                    os.killpg(proc.pid, signal.SIGKILL)
     finally:
         path.unlink(missing_ok=True)
     wall = time.monotonic() - started
-    stats = tuple(l for l in proc.stdout.splitlines() if l.startswith("c"))
+    stats = tuple(l for l in stdout.splitlines() if l.startswith("c"))
     if proc.returncode == 10:
-        if "s SATISFIABLE" not in proc.stdout:
+        if "s SATISFIABLE" not in stdout:
             raise SolverOutputError("exit code 10 without 's SATISFIABLE' line")
-        model = _parse_model(proc.stdout, formula.num_vars)
+        model = _parse_model(stdout, formula.num_vars)
         return SolveOutcome(SAT, model, wall, 10, stats)
     if proc.returncode == 20:
         return SolveOutcome(UNSAT, None, wall, 20, stats)

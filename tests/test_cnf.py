@@ -216,7 +216,86 @@ class TestSortBlock:
             assert got == sorted([0, int(val), 1], reverse=True)
 
 
+    @pytest.mark.parametrize("constants", (False, True))
+    @pytest.mark.parametrize("run", (1, 2, 3))
+    def test_runs_merge_monotone_and_popcount(self, run, constants):
+        # Each run is descending: optional leading TRUE, free variables,
+        # optional trailing FALSE; only descending assignments are tried.
+        for num_runs in range(1, 5):
+            for last in range(1, run + 1):
+                b = CnfBuilder()
+                runs, free = [], []
+                for i in range(num_runs):
+                    size = last if i == num_runs - 1 else run
+                    head = [TRUE_LIT] if constants and i % 3 == 0 else []
+                    tail = [FALSE_LIT] if constants and i % 3 == 1 else []
+                    middle = b.new_vars(size - len(head) - len(tail))
+                    runs.append(head + middle + tail)
+                    free.append(middle)
+                lits = [l for r in runs for l in r]
+                outs = b.sort_block(lits, run=run)
+                f = b.build()
+                assert len(outs) == len(lits)
+                for ones in itertools.product(*(range(len(m) + 1) for m in free)):
+                    assumptions = {
+                        v: k < n for m, n in zip(free, ones) for k, v in enumerate(m)
+                    }
+                    values = [
+                        int(l == TRUE_LIT or assumptions.get(l, False)) for l in lits
+                    ]
+                    s = forced_values(f, assumptions, outs)
+                    case = (run, num_runs, last, ones)
+                    assert s == sorted(values, reverse=True), case
+
+    def test_total_count_merge_budget(self):
+        # Merging two sorted blocks of 500 costs far less than sorting
+        # their 1,000 literals again (141,126 clauses).
+        b = CnfBuilder()
+        blocks = [b.sort_block(b.new_vars(500)) for _ in range(2)]
+        before = len(b.clauses)
+        b.sort_block(blocks[0] + blocks[1], run=500)
+        assert len(b.clauses) - before <= 27_000
+
+    def test_block_sort_budget(self):
+        # No more clauses than Batcher's odd-even sort padded to 512.
+        b = CnfBuilder()
+        b.sort_block(b.new_vars(500))
+        assert len(b.clauses) - 1 <= 57_066
+
+
+class TestComparator:
+    @pytest.mark.parametrize("signs", itertools.product((1, -1), repeat=2))
+    def test_fast_path_matches_or_and(self, signs):
+        fast, slow = CnfBuilder(), CnfBuilder()
+        for builder in (fast, slow):
+            builder.new_vars(2)
+        a, b = signs[0] * 2, signs[1] * 3
+        hi_lo = fast.comparator(a, b)
+        assert hi_lo == (slow.lit_or(a, b), slow.lit_and(a, b))
+        assert fast.clauses == slow.clauses
+        assert fast.num_vars == slow.num_vars == 5
+
+    def test_folding_unchanged(self):
+        b = CnfBuilder()
+        x = b.new_var()
+        assert b.comparator(x, TRUE_LIT) == (TRUE_LIT, x)
+        assert b.comparator(FALSE_LIT, x) == (x, FALSE_LIT)
+        assert b.comparator(x, x) == (x, x)
+        assert b.comparator(-x, -x) == (-x, -x)
+        assert b.comparator(x, -x) == (TRUE_LIT, FALSE_LIT)
+        assert b.comparator(TRUE_LIT, FALSE_LIT) == (TRUE_LIT, FALSE_LIT)
+        assert b.num_vars == 2 and b.clauses == [(TRUE_LIT,)]
+
+
 class TestDimacs:
+    def test_exact_bytes(self):
+        b = CnfBuilder()
+        x, y = b.new_var(), b.new_var()
+        b.add_clause((x, -y))
+        b.add_clause((-x,))
+        b.add_clause((FALSE_LIT,))
+        assert to_dimacs(b.build()) == b"p cnf 3 4\n1 0\n2 -3 0\n-2 0\n-1 0\n"
+
     def test_solver_round_trip(self, solver_config):
         from lgnsat.solver import solve
 

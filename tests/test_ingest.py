@@ -226,6 +226,22 @@ class TestAccuracy:
         )
         assert accuracy(net, Dataset(schema, rows)) == Fraction(hits, len(rows))
 
+    def test_uses_the_bits_load_csv_encoded(self, monkeypatch):
+        import lgnsat.ingest as ingest
+        from lgnsat.netlist import random_netlist
+
+        schema = small_schema()
+        data = load_csv(schema, CSV_TEXT)
+        assert data.bits == tuple(encode_row(schema, v) for v, _ in data.rows)
+        net = random_netlist(schema.width, [9, 6], 2, 3, seed=5)
+        expected = accuracy(net, Dataset(schema, data.rows))
+
+        def no_encode(*args):
+            raise AssertionError("accuracy encoded a row again")
+
+        monkeypatch.setattr(ingest, "encode_row", no_encode)
+        assert accuracy(net, data) == expected
+
     def test_random_net_near_chance_on_balanced_data(self):
         from lgnsat.netlist import random_netlist
 

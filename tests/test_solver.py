@@ -3,6 +3,7 @@ import random
 import stat
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,20 @@ from lgnsat.solver import (
     find_solver,
     solve,
 )
+
+
+def running(pid):
+    """Whether ``pid`` is alive; a zombie counts as ended, since an orphan
+    may wait long for its reaper."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat_line = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return not Path("/proc/self").exists()
+    return stat_line.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def trivial_sat():
@@ -84,6 +99,20 @@ class TestSolve:
         outcome = solve(trivial_sat(), config)
         assert outcome.status == UNKNOWN
         assert outcome.exit_code is None
+
+    def test_timeout_ends_the_solvers_children(self, tmp_path):
+        # A wrapper script whose child would outlive a kill of the wrapper.
+        pid_file = tmp_path / "child.pid"
+        exe = tmp_path / "wrapped-solver"
+        exe.write_text(f"#!/bin/sh\nsleep 60 &\necho $! > '{pid_file}'\nwait\n")
+        exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
+        outcome = solve(trivial_sat(), SolverConfig(executable=str(exe), timeout=1.0))
+        assert outcome.status == UNKNOWN
+        child = int(pid_file.read_text())
+        deadline = time.monotonic() + 5.0
+        while running(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running(child)
 
 
 class TestSolverDiscovery:
