@@ -86,6 +86,9 @@ class CnfBuilder:
         return CnfFormula(self.num_vars, tuple(self.clauses))
 
     # -- folded connectives -------------------------------------------------
+    # Once the folds have run, a and b are distinct non-constant literals
+    # with a != -b and o is fresh, so the defining clauses need none of
+    # add_clause's normalisation and are appended directly.
 
     def lit_and(self, a: Lit, b: Lit) -> Lit:
         if a == FALSE_LIT or b == FALSE_LIT or a == -b:
@@ -95,7 +98,7 @@ class CnfBuilder:
         if b == TRUE_LIT or a == b:
             return a
         o = self.new_var()
-        self.add_clauses([(-o, a), (-o, b), (o, -a, -b)])
+        self.clauses += [(-o, a), (-o, b), (o, -a, -b)]
         return o
 
     def lit_or(self, a: Lit, b: Lit) -> Lit:
@@ -106,7 +109,7 @@ class CnfBuilder:
         if b == FALSE_LIT or a == b:
             return a
         o = self.new_var()
-        self.add_clauses([(o, -a), (o, -b), (-o, a, b)])
+        self.clauses += [(o, -a), (o, -b), (-o, a, b)]
         return o
 
     def lit_xor(self, a: Lit, b: Lit) -> Lit:
@@ -123,7 +126,7 @@ class CnfBuilder:
         if a == -b:
             return TRUE_LIT
         o = self.new_var()
-        self.add_clauses([(-o, a, b), (-o, -a, -b), (o, -a, b), (o, a, -b)])
+        self.clauses += [(-o, a, b), (-o, -a, -b), (o, -a, b), (o, a, -b)]
         return o
 
     # -- gates and networks --------------------------------------------------
@@ -172,20 +175,8 @@ class CnfBuilder:
     # -- sorting network -----------------------------------------------------
 
     def comparator(self, a: Lit, b: Lit) -> tuple[Lit, Lit]:
-        """2-input comparator: (hi, lo) = (a OR b, a AND b).
-
-        Two distinct non-constant inputs take two fresh variables and the
-        six clauses ``lit_or`` and ``lit_and`` would emit, appended without
-        normalisation; constants and ``a == +/-b`` fold through them.
-        """
-        if abs(a) == 1 or abs(b) == 1 or abs(a) == abs(b):
-            return self.lit_or(a, b), self.lit_and(a, b)
-        hi = self.num_vars + 1
-        lo = self.num_vars = hi + 1
-        self.clauses += [
-            (hi, -a), (hi, -b), (-hi, a, b), (-lo, a), (-lo, b), (lo, -a, -b)
-        ]
-        return hi, lo
+        """2-input comparator: (hi, lo) = (a OR b, a AND b)."""
+        return self.lit_or(a, b), self.lit_and(a, b)
 
     def sort_block(self, lits, run: int = 1) -> list[Lit]:
         """Unary (descending) sort of ``lits``, read as a concatenation of

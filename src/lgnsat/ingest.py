@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DataError
@@ -22,16 +22,24 @@ from .schema import CategoricalFeature, FeatureSchema, NumericFeature
 class Dataset:
     """Parsed rows: per-row raw feature values plus a class label in
     0..C-1 (labels are 0-based, like every other index in this toolkit),
-    and each row's input bits, encoded here unless the caller passes them."""
+    and each row's input bits, encoded once here.
+
+    Encoding errors carry the row's number as a line of a CSV file with a
+    header line, the first row being row 2, as ``load_csv``'s errors do.
+    """
 
     schema: FeatureSchema
     rows: tuple[tuple[tuple, int], ...]
-    bits: tuple[tuple[int, ...], ...] | None = None
+    bits: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
-        if self.bits is None:
-            bits = tuple(encode_row(self.schema, values) for values, _ in self.rows)
-            object.__setattr__(self, "bits", bits)
+        bits = []
+        for lineno, (values, _) in enumerate(self.rows, start=2):
+            try:
+                bits.append(encode_row(self.schema, values))
+            except DataError as exc:
+                raise DataError(f"row {lineno}: {exc}")
+        object.__setattr__(self, "bits", tuple(bits))
 
 
 def encode_row(schema: FeatureSchema, raw_values) -> tuple[int, ...]:
@@ -79,7 +87,7 @@ def load_csv(schema: FeatureSchema, text: str, label_col: str = "label") -> Data
         raise DataError(f"CSV is missing feature columns: {missing}")
     if label_col not in reader.fieldnames:
         raise DataError(f"CSV is missing label column {label_col!r}")
-    rows, bits = [], []
+    rows = []
     for lineno, record in enumerate(reader, start=2):
         values = []
         for f in schema.features:
@@ -91,13 +99,8 @@ def load_csv(schema: FeatureSchema, text: str, label_col: str = "label") -> Data
             label = int(record[label_col])
         except (TypeError, ValueError):
             raise DataError(f"row {lineno}: non-integer label {record[label_col]!r}")
-        # Encode eagerly so range errors carry the row number.
-        try:
-            bits.append(encode_row(schema, values))
-        except DataError as exc:
-            raise DataError(f"row {lineno}: {exc}")
         rows.append((tuple(values), label))
-    return Dataset(schema, tuple(rows), tuple(bits))
+    return Dataset(schema, tuple(rows))
 
 
 def accuracy(netlist: Netlist, dataset: Dataset) -> Fraction:

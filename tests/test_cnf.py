@@ -275,6 +275,17 @@ class TestComparator:
         assert fast.clauses == slow.clauses
         assert fast.num_vars == slow.num_vars == 5
 
+    @pytest.mark.parametrize("signs", itertools.product((1, -1), repeat=2))
+    @pytest.mark.parametrize("connective", ["lit_and", "lit_or", "lit_xor"])
+    def test_direct_clauses_are_already_normalised(self, connective, signs):
+        b = CnfBuilder()
+        b.new_vars(2)
+        getattr(b, connective)(signs[0] * 2, signs[1] * 3)
+        appended = b.clauses[1:]
+        b.clauses = [(TRUE_LIT,)]
+        b.add_clauses(appended)
+        assert b.clauses[1:] == appended
+
     def test_folding_unchanged(self):
         b = CnfBuilder()
         x = b.new_var()

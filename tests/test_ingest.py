@@ -175,6 +175,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3"):
             load_csv(small_schema(), text)
 
+    def test_dataset_built_directly_carries_row(self):
+        rows = ((("0", "0"), 0), (("9", "0"), 1))
+        with pytest.raises(DataError, match="row 3: .*outside"):
+            Dataset(small_schema(), rows)
+
 
 class TestAccuracy:
     def constant_class0_net(self, width):
