@@ -33,7 +33,6 @@ from .ingest import Dataset, accuracy, encode_row, load_csv
 from .netlist import (
     Gate,
     Netlist,
-    NodeRef,
     gate_truth,
     parse_netlist,
     random_netlist,
@@ -64,7 +63,6 @@ __all__ = [
     "KappaSearchResult",
     "LgnsatError",
     "Netlist",
-    "NodeRef",
     "NumericFeature",
     "PropertyQuery",
     "SolveOutcome",

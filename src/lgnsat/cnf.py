@@ -40,11 +40,20 @@ class CnfFormula:
     clauses: tuple[Clause, ...]
 
 
+class _ClauseFormats(dict):
+    """``"%d " * n + "0\\n"`` for each clause length n, made on first use."""
+
+    def __missing__(self, n: int) -> str:
+        fmt = self[n] = "%d " * n + "0\n"
+        return fmt
+
+
 def to_dimacs(formula: CnfFormula) -> bytes:
     """Standard DIMACS CNF bytes; deterministic for a given formula."""
-    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
-    lines += [" ".join(map(str, clause)) + " 0" for clause in formula.clauses]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    formats = _ClauseFormats()
+    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}\n"]
+    lines += [formats[len(clause)] % clause for clause in formula.clauses]
+    return "".join(lines).encode("ascii")
 
 
 class CnfBuilder:

@@ -8,7 +8,8 @@ class LgnsatError(Exception):
 class NetlistFormatError(LgnsatError):
     """Netlist file is syntactically malformed.
 
-    Carries the 1-based line (and column, when known) of the offending token.
+    Carries the 1-based line (and column, when known) of the offending token;
+    the column counts from the start of the line as written in the file.
     """
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):

@@ -8,11 +8,14 @@ into ``num_classes`` blocks of ``block_size`` gates each; block popcounts
 are the class scores.
 
 All indexing is 0-based, in files and in code. Gate ids are global,
-numbered in layer order.
+numbered in layer order. A gate input is one int ref: ``r >= 0`` reads
+gate r and ``r < 0`` reads input bit ``~r`` (file text ``g{r}`` and
+``i{~r}``). Refs do not depend on ``input_width``, so an input bit out of
+range stays an input bit that ``validate`` can name.
 
 ``Netlist.program`` is the compiled form that the CNF encoder and the
-evaluator both walk. It numbers nodes in one space: input bit i is node i
-and gate g is node ``input_width + g``.
+evaluator both walk. Only there are nodes numbered in one space: input
+bit i is node i and gate g is node ``input_width + g``.
 """
 
 from __future__ import annotations
@@ -21,11 +24,9 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvalidNetlistError, NetlistFormatError
-
-INPUT = "in"
-GATE = "gate"
 
 # Common op codes, for readability at call sites.
 OP_FALSE = 0
@@ -47,32 +48,24 @@ def gate_truth(op: int, a: int, b: int) -> int:
     return (op >> (2 * a + b)) & 1
 
 
-@dataclass(frozen=True)
-class NodeRef:
-    """Reference to a gate input: an input bit or an earlier gate (global id)."""
-
-    kind: str  # INPUT or GATE
-    index: int
-
-    def __str__(self) -> str:
-        return ("i" if self.kind == INPUT else "g") + str(self.index)
+def input_ref(index: int) -> int:
+    return ~index
 
 
-def input_ref(index: int) -> NodeRef:
-    return NodeRef(INPUT, index)
+def gate_ref(index: int) -> int:
+    return index
 
 
-def gate_ref(index: int) -> NodeRef:
-    return NodeRef(GATE, index)
+class Gate(NamedTuple):
+    """One 2-input gate. Inputs are ordered: op codes need not be commutative.
 
-
-@dataclass(frozen=True)
-class Gate:
-    """One 2-input gate. Inputs are ordered: op codes need not be commutative."""
+    Each input is a ref: ``r >= 0`` is gate r (global id), ``r < 0`` is
+    input bit ``~r``.
+    """
 
     op: int
-    in_a: NodeRef
-    in_b: NodeRef
+    in_a: int
+    in_b: int
 
 
 @dataclass(frozen=True)
@@ -108,31 +101,20 @@ class Netlist:
         """
         check_valid(self)
         gates = [g for layer in self.layers for g in layer]
-        first_output = len(gates) - self.num_outputs
-        live = [gid >= first_output for gid in range(len(gates))]
+        live = [False] * (len(gates) - self.num_outputs) + [True] * self.num_outputs
         for gid in reversed(range(len(gates))):
             if live[gid]:
-                for ref in (gates[gid].in_a, gates[gid].in_b):
-                    if ref.kind == GATE:
-                        live[ref.index] = True
+                _, a, b = gates[gid]
+                if a >= 0:
+                    live[a] = True
+                if b >= 0:
+                    live[b] = True
         w = self.input_width
-
-        def node(ref: NodeRef) -> int:
-            return ref.index if ref.kind == INPUT else w + ref.index
-
         return tuple(
-            (w + gid, g.op, node(g.in_a), node(g.in_b))
-            for gid, g in enumerate(gates)
+            (w + gid, op, ~a if a < 0 else w + a, ~b if b < 0 else w + b)
+            for gid, (op, a, b) in enumerate(gates)
             if live[gid]
         )
-
-    def layer_starts(self) -> list[int]:
-        """Global gate id of the first gate in each layer."""
-        starts, acc = [], 0
-        for layer in self.layers:
-            starts.append(acc)
-            acc += len(layer)
-        return starts
 
 
 @dataclass(frozen=True)
@@ -167,29 +149,29 @@ def validate(netlist: Netlist, schema=None) -> ValidationReport:
                 f"expected {netlist.num_classes}*{netlist.block_size}"
                 f"={netlist.num_outputs}"
             )
-    starts = netlist.layer_starts()
+    w = netlist.input_width
+    start = 0  # global id of the layer's first gate
     for li, layer in enumerate(netlist.layers):
         if not layer:
             v.append(f"layer {li}: empty layer")
-        for gi, gate in enumerate(layer):
+        for gi, (op, a, b) in enumerate(layer):
+            # Refs -w..-1 are the input bits, 0..start-1 the earlier gates.
+            if 0 <= op <= 15 and -w <= a < start and -w <= b < start:
+                continue
             where = f"layer {li} gate {gi}"
-            if not 0 <= gate.op <= 15:
-                v.append(f"{where}: op code {gate.op} outside 0..15")
-            for side, ref in (("a", gate.in_a), ("b", gate.in_b)):
-                if ref.kind == INPUT:
-                    if not 0 <= ref.index < netlist.input_width:
-                        v.append(
-                            f"{where} input {side}: input bit {ref.index} "
-                            f"outside 0..{netlist.input_width - 1}"
-                        )
-                elif ref.kind == GATE:
-                    if not 0 <= ref.index < starts[li]:
-                        v.append(
-                            f"{where} input {side}: forward/self reference "
-                            f"to gate {ref.index} (layer starts at id {starts[li]})"
-                        )
-                else:
-                    v.append(f"{where} input {side}: unknown ref kind {ref.kind!r}")
+            if not 0 <= op <= 15:
+                v.append(f"{where}: op code {op} outside 0..15")
+            for side, ref in (("a", a), ("b", b)):
+                if ref < 0 and ~ref >= w:
+                    v.append(
+                        f"{where} input {side}: input bit {~ref} outside 0..{w - 1}"
+                    )
+                elif ref >= start:
+                    v.append(
+                        f"{where} input {side}: forward/self reference "
+                        f"to gate {ref} (layer starts at id {start})"
+                    )
+        start += len(layer)
     if schema is not None:
         v.extend(schema_violations(netlist, schema))
     return ValidationReport(tuple(v))
@@ -228,8 +210,16 @@ def check_valid(netlist: Netlist, schema=None) -> None:
 # serialized form contains neither.
 # ---------------------------------------------------------------------------
 
-_GATE_RE = re.compile(r"\(\s*(\d+)\s*,\s*([ig])(\d+)\s*,\s*([ig])(\d+)\s*\)")
+_GATE = r"\(\s*(\d+)\s*,\s*(?:i(\d+)|g(\d+))\s*,\s*(?:i(\d+)|g(\d+))\s*\)"
+_GATE_RE = re.compile(_GATE)
+# A whole layer line. A match that stops short of the end of the line stops
+# at the first token that is not a gate.
+_LAYER_RE = re.compile(rf"\s*layer\s*(?:{_GATE}\s*)*")
 _MAGIC = "lgn 1"
+
+
+def _ref_text(ref: int) -> str:
+    return f"g{ref}" if ref >= 0 else f"i{~ref}"
 
 
 def serialize_netlist(netlist: Netlist) -> bytes:
@@ -241,7 +231,9 @@ def serialize_netlist(netlist: Netlist) -> bytes:
         f"block_size {netlist.block_size}",
     ]
     for layer in netlist.layers:
-        gates = " ".join(f"({g.op}, {g.in_a}, {g.in_b})" for g in layer)
+        gates = " ".join(
+            f"({op}, {_ref_text(a)}, {_ref_text(b)})" for op, a, b in layer
+        )
         lines.append(f"layer {gates}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
@@ -252,37 +244,41 @@ def _parse_header_int(lines, idx: int, key: str) -> int:
     lineno, text = lines[idx]
     parts = text.split()
     if len(parts) != 2 or parts[0] != key:
-        raise NetlistFormatError(f"expected '{key} <int>', got {text!r}", line=lineno)
+        raise NetlistFormatError(
+            f"expected '{key} <int>', got {text.strip()!r}", line=lineno
+        )
     try:
         return int(parts[1])
     except ValueError:
         raise NetlistFormatError(f"non-integer value for {key}: {parts[1]!r}", line=lineno)
 
 
-def _parse_layer_line(lineno: int, text: str) -> tuple[Gate, ...]:
-    body = text[len("layer"):].strip()
-    gates: list[Gate] = []
-    pos = 0
-    while pos < len(body):
-        m = _GATE_RE.match(body, pos)
-        if m is None:
-            raise NetlistFormatError(
-                f"malformed gate near {body[pos:pos + 20]!r}", line=lineno, col=pos + 1
-            )
-        op = int(m.group(1))
-        if op > 15:
-            raise NetlistFormatError(
-                f"op code {op} outside 0..15", line=lineno, col=m.start(1) + 1
-            )
-        ref_a = NodeRef(INPUT if m.group(2) == "i" else GATE, int(m.group(3)))
-        ref_b = NodeRef(INPUT if m.group(4) == "i" else GATE, int(m.group(5)))
-        gates.append(Gate(op, ref_a, ref_b))
-        pos = m.end()
-        while pos < len(body) and body[pos].isspace():
-            pos += 1
+def _parse_layer_line(lineno: int, line: str) -> tuple[Gate, ...]:
+    """The gates of one raw file line; error columns count from its start."""
+    whole = _LAYER_RE.match(line)
+    if whole is None:
+        raise NetlistFormatError(
+            f"expected 'layer ...', got {line.strip()!r}", line=lineno
+        )
+    end = whole.end()
+    gates = tuple([
+        Gate(int(op), ~int(ia) if ia else int(ga), ~int(ib) if ib else int(gb))
+        for op, ia, ga, ib, gb in _GATE_RE.findall(line, 0, end)
+    ])
+    if any(g.op > 15 for g in gates):
+        bad = next(m for m in _GATE_RE.finditer(line, 0, end) if int(m[1]) > 15)
+        raise NetlistFormatError(
+            f"op code {int(bad[1])} outside 0..15", line=lineno, col=bad.start(1) + 1
+        )
+    if end < len(line):
+        raise NetlistFormatError(
+            f"malformed gate near {line.rstrip()[end:end + 20]!r}",
+            line=lineno,
+            col=end + 1,
+        )
     if not gates:
         raise NetlistFormatError("layer line with no gates", line=lineno)
-    return tuple(gates)
+    return gates
 
 
 def parse_netlist(data: bytes | str, run_validation: bool = True) -> Netlist:
@@ -295,26 +291,20 @@ def parse_netlist(data: bytes | str, run_validation: bool = True) -> Netlist:
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     lines = [
-        (i + 1, ln.strip())
+        (i + 1, ln)
         for i, ln in enumerate(text.splitlines())
         if ln.strip() and not ln.lstrip().startswith("#")
     ]
     if not lines:
         raise NetlistFormatError("empty netlist file", line=1)
-    if lines[0][1] != _MAGIC:
+    if lines[0][1].strip() != _MAGIC:
         raise NetlistFormatError(
             f"bad magic line, expected {_MAGIC!r}", line=lines[0][0]
         )
     input_width = _parse_header_int(lines, 1, "input_width")
     num_classes = _parse_header_int(lines, 2, "num_classes")
     block_size = _parse_header_int(lines, 3, "block_size")
-    layers: list[tuple[Gate, ...]] = []
-    for lineno, textline in lines[4:]:
-        if not textline.startswith("layer"):
-            raise NetlistFormatError(
-                f"expected 'layer ...', got {textline!r}", line=lineno
-            )
-        layers.append(_parse_layer_line(lineno, textline))
+    layers = [_parse_layer_line(lineno, line) for lineno, line in lines[4:]]
     if not layers:
         raise NetlistFormatError("truncated file: no layer lines", line=lines[-1][0])
     netlist = Netlist(input_width, tuple(layers), num_classes, block_size)
@@ -344,22 +334,17 @@ def random_netlist(
         )
     rng = random.Random(seed)
     layers: list[tuple[Gate, ...]] = []
-    prev_start = 0
-    prev_size = input_width
-    prev_kind = INPUT
+    lo, n = None, input_width  # lo is None while the previous layer is the inputs
+
+    def draw() -> int:
+        k = rng.randrange(n)
+        return ~k if lo is None else lo + k
+
     for size in layer_sizes:
-        gates = tuple(
-            Gate(
-                rng.randrange(16),
-                NodeRef(prev_kind, prev_start + rng.randrange(prev_size)),
-                NodeRef(prev_kind, prev_start + rng.randrange(prev_size)),
-            )
-            for _ in range(size)
+        layers.append(
+            tuple(Gate(rng.randrange(16), draw(), draw()) for _ in range(size))
         )
-        layers.append(gates)
-        prev_start = prev_start + prev_size if prev_kind == GATE else 0
-        prev_kind = GATE
-        prev_size = size
+        lo, n = (0 if lo is None else lo + n), size
     net = Netlist(input_width, tuple(layers), num_classes, block_size)
     check_valid(net)
     return net

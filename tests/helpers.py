@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from lgnsat.netlist import GATE, INPUT, Netlist
+from lgnsat.netlist import Netlist
 
 # The 16 two-input Boolean functions by name, keyed by truth-table code.
 NAMED_OPS = {
@@ -41,13 +41,12 @@ def interpret(netlist: Netlist, input_bits) -> list[int]:
     memo: dict[int, int] = {}
 
     def value(ref):
-        if ref.kind == INPUT:
-            return input_bits[ref.index]
-        assert ref.kind == GATE
-        if ref.index not in memo:
-            g = gates[ref.index]
-            memo[ref.index] = NAMED_OPS[g.op](value(g.in_a), value(g.in_b))
-        return memo[ref.index]
+        if ref < 0:
+            return input_bits[~ref]
+        if ref not in memo:
+            g = gates[ref]
+            memo[ref] = NAMED_OPS[g.op](value(g.in_a), value(g.in_b))
+        return memo[ref]
 
     start = netlist.num_gates - netlist.num_outputs
     out = []

@@ -65,6 +65,19 @@ class TestValidate:
         assert code == 2
         assert report["error"]["type"] == "NetlistFormatError"
 
+    def test_input_bit_out_of_range_is_a_violation(self, capsys, tmp_path):
+        bad = tmp_path / "bad.lgn"
+        bad.write_text(
+            "lgn 1\ninput_width 2\nnum_classes 2\nblock_size 1\n"
+            "layer (8, i5, i1) (14, i0, i1)\n"
+        )
+        code, report = run_cli(capsys, "validate", bad)
+        assert code == 2
+        assert "error" not in report
+        assert report["result"]["violations"] == [
+            "layer 0 gate 0 input a: input bit 5 outside 0..1"
+        ]
+
     def test_missing_file_exit_3(self, capsys, files):
         code, _ = run_cli(capsys, "validate", files["dir"] / "nope.lgn")
         assert code == 3

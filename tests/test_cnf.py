@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -306,6 +307,21 @@ class TestDimacs:
         b.add_clause((-x,))
         b.add_clause((FALSE_LIT,))
         assert to_dimacs(b.build()) == b"p cnf 3 4\n1 0\n2 -3 0\n-2 0\n-1 0\n"
+
+    def test_matches_one_join_per_clause(self):
+        rng = random.Random(11)
+        for _ in range(4):
+            clauses = tuple(
+                tuple(
+                    rng.choice((-1, 1)) * rng.randint(1, 10**6)
+                    for _ in range(rng.randint(1, 40))
+                )
+                for _ in range(500)
+            )
+            expected = f"p cnf {10**6} {len(clauses)}\n" + "".join(
+                " ".join(map(str, c)) + " 0\n" for c in clauses
+            )
+            assert to_dimacs(CnfFormula(10**6, clauses)) == expected.encode("ascii")
 
     def test_solver_round_trip(self, solver_config):
         from lgnsat.solver import solve

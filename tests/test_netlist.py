@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from helpers import NAMED_OPS
@@ -70,6 +73,17 @@ class TestValidate:
         report = validate(net)
         assert any("forward/self reference" in v for v in report.violations)
 
+    def test_input_bit_range_edges(self):
+        net = Netlist(
+            2,
+            ((Gate(8, input_ref(1), input_ref(2)), Gate(14, input_ref(0), input_ref(1))),),
+            2,
+            1,
+        )
+        assert validate(net).violations == (
+            "layer 0 gate 0 input b: input bit 2 outside 0..1",
+        )
+
     def test_cross_layer_reference_allowed(self):
         # the format permits skipping layers even though the generator never
         # produces it
@@ -101,7 +115,9 @@ class TestInvalidNetlistRaises:
     """Every consumer of the compiled program rejects an invalid netlist,
     also one built directly rather than parsed."""
 
-    @pytest.mark.parametrize("bad_ref", [gate_ref(0), input_ref(5)])
+    @pytest.mark.parametrize(
+        "bad_ref", [gate_ref(0), input_ref(5)], ids=["bad_ref0", "bad_ref1"]
+    )
     def test_predict_forward_and_encoder(self, bad_ref):
         net = Netlist(
             2,
@@ -164,6 +180,84 @@ class TestFileFormat:
         assert parse_netlist(noisy) == minimal_net()
 
 
+HEADER = "lgn 1\ninput_width 2\nnum_classes 2\nblock_size 1\n"
+
+
+class TestFormatErrorPosition:
+    """``col`` is the 1-based column of the offending token in the raw file
+    line, leading indentation included."""
+
+    @pytest.mark.parametrize("indent", ["", "    ", "\t  "], ids=["flush", "spaces", "tab"])
+    @pytest.mark.parametrize(
+        "line, token",
+        [
+            ("layer (8, i0, i1) (14, i0, i1) junk", "junk"),
+            ("layer (8, i0, i1) (8, i0 i1) (14, i0, i1)", "(8, i0 i1)"),
+            ("layer (8, i0, i1) (16, i0, i1)", "16, i0"),
+            ("layer (8, i0, i1)(14, i0, i1)x", "x"),
+            ("layers (8, i0, i1)", "s (8"),
+        ],
+        ids=["junk", "bad-middle-gate", "op-16", "glued-junk", "layers"],
+    )
+    def test_col_points_at_token(self, indent, line, token):
+        line_text = indent + line
+        with pytest.raises(NetlistFormatError) as exc:
+            parse_netlist(HEADER + line_text + "\n")
+        assert exc.value.line == 5
+        assert line_text[exc.value.col - 1:].startswith(token)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "layer (8, i0, i1) (14, i0, i1) junk",
+            "layer (8, i0, i1) (14, i0, i1) (8,",
+            "layer (8, i0, i1) , (14, i0, i1)",
+            "layer (8, i0, i1) (14, i0, i1) # comment",
+            "layer junk",
+        ],
+        ids=["junk", "open-gate", "comma", "comment", "no-gate"],
+    )
+    def test_text_between_or_after_gates_raises(self, line):
+        with pytest.raises(NetlistFormatError, match="malformed gate"):
+            parse_netlist(HEADER + line + "\n")
+
+    def test_first_error_in_the_line_wins(self):
+        with pytest.raises(NetlistFormatError, match="op code 16"):
+            parse_netlist(HEADER + "layer (16, i0, i1) junk\n")
+        with pytest.raises(NetlistFormatError, match="malformed gate"):
+            parse_netlist(HEADER + "layer junk (16, i0, i1)\n")
+
+
+class TestPinnedBytes:
+    """Serialized bytes and compiled programs of two seeded nets, pinned so
+    that neither the generator, the file format nor the compile can drift."""
+
+    @pytest.mark.parametrize(
+        "args, net_sha, program_sha",
+        [
+            (
+                (12, [40, 30, 20], 2, 10, 7),
+                "b5dce9fd3264e76a2b9e4b5c63191506acd45d9513c006e550a5411b0048ec95",
+                "242e3a7965e65cbb3785e9f05bb3b5ece0df3d4e59436c15e8c9e016578bebf6",
+            ),
+            (
+                (100, [2000, 2000, 2000, 1000], 2, 500, 3),
+                "c57446897d3dd869c74b1b1aac1ec0f39fc6655e5cdf2040ee50ea3c89cb3518",
+                "a0171ff17d0d0cb0e5fac01b2987b3b157414c5c84ba8a2d0466884a833af3a7",
+            ),
+        ],
+    )
+    def test_serialized_net_and_program(self, args, net_sha, program_sha):
+        *shape, seed = args
+        net = random_netlist(*shape, seed=seed)
+        data = serialize_netlist(net)
+        assert hashlib.sha256(data).hexdigest() == net_sha
+        parsed = parse_netlist(data)
+        assert parsed == net
+        assert parsed.program == net.program
+        assert hashlib.sha256(repr(parsed.program).encode()).hexdigest() == program_sha
+
+
 class TestRandomNetlist:
     def test_deterministic(self):
         a = random_netlist(6, [5, 4], 2, 2, seed=123)
@@ -181,15 +275,14 @@ class TestRandomNetlist:
 
     def test_wiring_is_adjacent_layer_only(self):
         net = random_netlist(4, [3, 2, 2], 2, 1, seed=5)
-        starts = net.layer_starts()
+        starts = [0, *itertools.accumulate(len(layer) for layer in net.layers)]
         for li, layer in enumerate(net.layers):
             for gate in layer:
                 for ref in (gate.in_a, gate.in_b):
                     if li == 0:
-                        assert ref.kind == "in"
+                        assert -4 <= ref < 0
                     else:
-                        assert ref.kind == "gate"
-                        assert starts[li - 1] <= ref.index < starts[li]
+                        assert starts[li - 1] <= ref < starts[li]
 
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ValueError):
