@@ -46,7 +46,7 @@ from .schema import (
     parse_schema,
     serialize_schema,
 )
-from .solver import SolverConfig, SolveOutcome, decode_counterexample, find_solver, solve
+from .solver import SolverConfig, SolveOutcome, find_solver, solve
 
 __all__ = [
     "COUNTEREXAMPLE",
@@ -76,7 +76,6 @@ __all__ = [
     "build_query",
     "check_attainable",
     "check_phi",
-    "decode_counterexample",
     "encode_row",
     "find_solver",
     "forward",

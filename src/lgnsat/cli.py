@@ -88,12 +88,7 @@ def _read_inputs(args, *roles: str) -> tuple[dict, list[bytes]]:
 
 
 def _solver_config(args) -> SolverConfig:
-    kwargs = {}
-    if args.solver:
-        kwargs["executable"] = args.solver
-    if args.timeout:
-        kwargs["timeout"] = args.timeout
-    return SolverConfig(**kwargs)
+    return SolverConfig(args.solver, args.timeout)
 
 
 def _witness_side(schema, side) -> dict:
@@ -126,6 +121,15 @@ def _stats_json(stats) -> dict:
         "wall_time_s": round(stats.wall_time, 6),
         "num_vars": stats.num_vars,
         "num_clauses": stats.num_clauses,
+    }
+
+
+def _probe_json(verdict) -> dict:
+    """One probe of a search or sweep: its threshold, status and stats."""
+    return {
+        "kappa": _frac(verdict.kappa),
+        "status": verdict.status,
+        **_stats_json(verdict.stats),
     }
 
 
@@ -180,16 +184,7 @@ def cmd_search_kappa(args) -> int:
         "note": result.note,
         "tolerance": _frac(Fraction(args.tol)),
         "total_time_s": round(result.total_time, 6),
-        "probes": [
-            {
-                "kappa": _frac(q.kappa),
-                "status": q.status,
-                "wall_time_s": round(q.wall_time, 6),
-                "num_vars": q.num_vars,
-                "num_clauses": q.num_clauses,
-            }
-            for q in result.queries
-        ],
+        "probes": [_probe_json(q) for q in result.queries],
     }
     emit(_report(args, inputs, payload))
     log(
@@ -208,18 +203,11 @@ def cmd_sweep(args) -> int:
     payload = {
         "mode": args.mode,
         "eps": args.eps,
-        "rows": [
-            {
-                "kappa": _frac(r.kappa),
-                "status": r.status,
-                "wall_time_s": round(r.wall_time, 6),
-            }
-            for r in rows
-        ],
+        "rows": [_probe_json(r) for r in rows],
     }
     emit(_report(args, inputs, payload))
     for r in rows:
-        log(f"sweep: kappa={r.kappa} -> {r.status} ({r.wall_time:.3f}s)")
+        log(f"sweep: kappa={r.kappa} -> {r.status} ({r.stats.wall_time:.3f}s)")
     return EXIT_UNKNOWN if any(r.status == UNKNOWN for r in rows) else EXIT_HOLDS
 
 
@@ -319,7 +307,9 @@ def cmd_accuracy(args) -> int:
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver", default=None, help="SAT solver executable")
-    p.add_argument("--timeout", type=float, default=None, help="solver timeout (s)")
+    p.add_argument(
+        "--timeout", type=float, default=SolverConfig.timeout, help="solver timeout (s)"
+    )
 
 
 def _add_query_args(p: argparse.ArgumentParser) -> None:

@@ -1,8 +1,11 @@
 """Verification workflows: fixed-threshold queries, binary search over the
 confidence threshold, attainability checks, and threshold sweeps.
 
-Each probe is a fresh solver invocation (no incremental reuse) and is
-logged individually so cumulative solve time can be reported.
+Every solver-backed call goes through ``_solve``: it builds the query,
+hands it to the solver, and reads a SAT model back as one concrete input
+per network copy, rechecked on the network. Each probe is a fresh solver
+invocation (no incremental reuse), and searches and sweeps keep each
+probe's ``Verdict`` so cumulative solve time can be reported.
 """
 
 from __future__ import annotations
@@ -12,27 +15,22 @@ from fractions import Fraction
 
 from . import solver as sat
 from .encoder import ATTAINABLE, PropertyQuery, build_query
-from .errors import EncodingConsistencyError
+from .errors import DataError, EncodingConsistencyError
 from .evaluator import (
     COUNTEREXAMPLE,
     HOLDS,
     UNKNOWN,
+    InputRecord,
     Verdict,
     VerdictStats,
+    Witness,
+    check_phi,
+    forward,
     predict,
 )
 from .netlist import Netlist
 from .schema import FeatureSchema
-from .solver import SolverConfig, decode_counterexample
-
-
-@dataclass(frozen=True)
-class QueryRecord:
-    kappa: Fraction
-    status: str
-    wall_time: float
-    num_vars: int
-    num_clauses: int
+from .solver import SolverConfig
 
 
 @dataclass
@@ -46,13 +44,48 @@ class KappaSearchResult:
 
     kappa_star: Fraction
     converged: bool
-    queries: list[QueryRecord] = field(default_factory=list)
+    queries: list[Verdict] = field(default_factory=list)
     attainable: bool | None = None
     note: str = ""
 
     @property
     def total_time(self) -> float:
-        return sum(q.wall_time for q in self.queries)
+        return sum(q.stats.wall_time for q in self.queries)
+
+
+def _solve(
+    netlist: Netlist,
+    schema: FeatureSchema,
+    query: PropertyQuery,
+    config: SolverConfig | None,
+) -> tuple[str, tuple[InputRecord, ...] | None, VerdictStats]:
+    """Build and solve one query. Returns the solver's status, the query's
+    size and solve time, and on SAT one InputRecord per network copy.
+
+    Each copy's bits must decode under the schema, and the first copy's
+    confidence on the concrete network must strictly clear the threshold.
+    A failed recheck means the encoding and the evaluator disagree, which
+    is an internal bug, never something to report as a finding.
+    """
+    formula, varmap = build_query(netlist, schema, query)
+    outcome = sat.solve(formula, config)
+    stats = VerdictStats(outcome.wall_time, len(formula.clauses), formula.num_vars)
+    if outcome.status != sat.SAT:
+        return outcome.status, None, stats
+    records = []
+    for copy in varmap.copies:
+        bits = tuple(int(outcome.model[abs(l)] == (l > 0)) for l in copy.inputs)
+        try:
+            values = schema.decode_bits(bits)
+        except DataError as exc:
+            raise EncodingConsistencyError(f"model bits are not well-formed: {exc}")
+        cls, _, conf = predict(netlist, bits)
+        records.append(InputRecord(values, bits, cls, conf))
+    if not records[0].conf > query.kappa:
+        raise EncodingConsistencyError(
+            f"decoded confidence {records[0].conf} does not exceed kappa {query.kappa}"
+        )
+    return outcome.status, tuple(records), stats
 
 
 def verify_at(
@@ -64,19 +97,19 @@ def verify_at(
     config: SolverConfig | None = None,
 ) -> Verdict:
     """One fixed-threshold query: Holds on UNSAT, Counterexample (with the
-    decoded, rechecked pair) on SAT, Unknown on timeout."""
+    decoded pair, rechecked: the classes differ and the similarity
+    predicate holds) on SAT, Unknown on timeout."""
     query = PropertyQuery(mode, eps, Fraction(kappa))
-    formula, varmap = build_query(netlist, schema, query)
-    outcome = sat.solve(formula, config)
-    stats = VerdictStats(
-        wall_time=outcome.wall_time,
-        num_clauses=len(formula.clauses),
-        num_vars=formula.num_vars,
-    )
-    if outcome.status == sat.SAT:
-        witness = decode_counterexample(outcome.model, varmap, schema, netlist)
-        return Verdict(COUNTEREXAMPLE, witness, stats)
-    return Verdict(HOLDS if outcome.status == sat.UNSAT else UNKNOWN, stats=stats)
+    status, records, stats = _solve(netlist, schema, query, config)
+    if records is None:
+        status = HOLDS if status == sat.UNSAT else UNKNOWN
+        return Verdict(status, query.kappa, stats=stats)
+    x, xp = records
+    if x.cls == xp.cls:
+        raise EncodingConsistencyError(f"decoded pair predicts the same class {x.cls}")
+    if not check_phi(x.bits, xp.bits, schema, eps, mode):
+        raise EncodingConsistencyError("decoded pair violates the similarity predicate")
+    return Verdict(COUNTEREXAMPLE, query.kappa, Witness(x, xp), stats)
 
 
 def search_min_kappa(
@@ -98,19 +131,11 @@ def search_min_kappa(
         raise ValueError(f"tolerance must be > 0, got {tolerance}")
     lo = Fraction(1, netlist.num_classes)
     hi = Fraction(1)
-    queries: list[QueryRecord] = []
+    queries: list[Verdict] = []
 
     def probe(kappa: Fraction) -> str:
         verdict = verify_at(netlist, schema, mode, eps, kappa, config)
-        queries.append(
-            QueryRecord(
-                kappa,
-                verdict.status,
-                verdict.stats.wall_time,
-                verdict.stats.num_vars,
-                verdict.stats.num_clauses,
-            )
-        )
+        queries.append(verdict)
         return verdict.status
 
     status = probe(hi)
@@ -147,28 +172,14 @@ def check_attainable(
 ) -> bool:
     """Does some well-formed input exceed the threshold with a non-vacuous
     (not all-zero) output? Guards reported thresholds against being trivially
-    satisfied."""
+    satisfied. The witness input is rechecked, output bits included."""
     query = PropertyQuery(ATTAINABLE, 0, Fraction(kappa))
-    formula, varmap = build_query(netlist, schema, query)
-    outcome = sat.solve(formula, config)
-    if outcome.status != sat.SAT:
+    _, records, _ = _solve(netlist, schema, query, config)
+    if records is None:
         return False
-    bits = sat.read_bits(outcome.model, varmap.copies[0].inputs)
-    if not schema.well_formed(bits):
-        raise EncodingConsistencyError("attainability witness bits ill-formed")
-    _, scores, conf = predict(netlist, bits)
-    if scores.total == 0 or not conf > Fraction(kappa):
-        raise EncodingConsistencyError(
-            f"attainability witness recheck failed: total={scores.total}, conf={conf}"
-        )
+    if not any(forward(netlist, records[0].bits)):
+        raise EncodingConsistencyError("attainability witness recheck failed: total=0")
     return True
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    kappa: Fraction
-    status: str
-    wall_time: float
 
 
 def sweep(
@@ -178,16 +189,13 @@ def sweep(
     eps: int,
     kappas,
     config: SolverConfig | None = None,
-) -> list[SweepRow]:
-    """verify_at across a threshold list; rows come back in ascending kappa
-    order and are checked for verdict monotonicity."""
+) -> list[Verdict]:
+    """verify_at across a threshold list; verdicts come back in ascending
+    kappa order and are checked for monotonicity."""
     kappas = sorted(Fraction(k) for k in kappas)
     if not kappas:
         raise ValueError("kappa list must be nonempty")
-    rows = []
-    for kappa in kappas:
-        verdict = verify_at(netlist, schema, mode, eps, kappa, config)
-        rows.append(SweepRow(kappa, verdict.status, verdict.stats.wall_time))
+    rows = [verify_at(netlist, schema, mode, eps, kappa, config) for kappa in kappas]
     seen_holds_at = None
     for row in rows:
         if row.status == HOLDS and seen_holds_at is None:

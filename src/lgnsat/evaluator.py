@@ -75,7 +75,12 @@ class VerdictStats:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The result of one query at threshold ``kappa``: its status, the
+    rechecked pair when it is a counterexample, and what the query cost.
+    The driver's searches and sweeps keep one per probe."""
+
     status: str  # HOLDS / COUNTEREXAMPLE / UNKNOWN
+    kappa: Fraction
     witness: Witness | None = None
     stats: VerdictStats = field(default_factory=VerdictStats)
 
@@ -271,8 +276,9 @@ def brute_force_verify(
                 continue
             if phi_on_values(x.values, xp.values, schema, eps, mode):
                 stats = VerdictStats(wall_time=time.monotonic() - started)
-                return Verdict(COUNTEREXAMPLE, Witness(x, xp), stats)
-    return Verdict(HOLDS, stats=VerdictStats(wall_time=time.monotonic() - started))
+                return Verdict(COUNTEREXAMPLE, kappa, Witness(x, xp), stats)
+    stats = VerdictStats(wall_time=time.monotonic() - started)
+    return Verdict(HOLDS, kappa, stats=stats)
 
 
 def brute_force_min_kappa(

@@ -28,18 +28,9 @@ from typing import NamedTuple
 
 from .errors import InvalidNetlistError, NetlistFormatError
 
-# Common op codes, for readability at call sites.
+# Constant and pass-through op codes, for readability at call sites.
 OP_FALSE = 0
-OP_NOR = 1
-OP_NOT_A = 3
-OP_NOT_B = 5
-OP_XOR = 6
-OP_NAND = 7
-OP_AND = 8
-OP_XNOR = 9
-OP_PASS_B = 10
 OP_PASS_A = 12
-OP_OR = 14
 OP_TRUE = 15
 
 
@@ -189,9 +180,9 @@ def schema_violations(netlist: Netlist, schema) -> list[str]:
     return v
 
 
-def check_valid(netlist: Netlist, schema=None) -> None:
+def check_valid(netlist: Netlist) -> None:
     """Raise InvalidNetlistError unless validate() is clean."""
-    report = validate(netlist, schema)
+    report = validate(netlist)
     if not report.ok:
         raise InvalidNetlistError(report.violations)
 

@@ -124,13 +124,6 @@ class FeatureSchema:
 
     # -- bit-pattern validity (shared by encoder and ingest) ---------------
 
-    def well_formed(self, bits) -> bool:
-        try:
-            self.decode_bits(bits)
-        except DataError:
-            return False
-        return True
-
     def decode_bits(self, bits) -> tuple[int, ...]:
         """Bit vector -> per-feature values (bucket index / category index).
 

@@ -1,4 +1,5 @@
-"""External SAT solver protocol and counterexample decoding.
+"""The DIMACS seam: write a formula, run an external SAT solver on it, and
+read back its verdict and model.
 
 The backend stays solver-agnostic: any executable that reads a DIMACS file
 (its only argument), prints ``s SATISFIABLE``/``s UNSATISFIABLE`` with ``v``
@@ -12,6 +13,9 @@ when kissat is absent. When none of those is on PATH, the built-in
 same protocol, needs only ``python3`` on PATH, and is much slower than
 kissat on large queries. An explicit executable or an LGNSAT_SOLVER value
 that does not resolve is an error and never falls back to it.
+
+This module knows formulas and models only; the driver reads a model back
+as network inputs and rechecks it on the concrete network.
 """
 
 from __future__ import annotations
@@ -26,10 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cnf import CnfFormula, to_dimacs
-from .errors import DataError, EncodingConsistencyError, SolverNotFoundError, SolverOutputError
-from .evaluator import InputRecord, Witness, check_phi, predict
-from .netlist import Netlist
-from .schema import FeatureSchema
+from .errors import SolverNotFoundError, SolverOutputError
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -44,15 +45,16 @@ BUILTIN_SOLVER = str(Path(__file__).with_name("cdcl.py"))
 @dataclass(frozen=True)
 class SolverConfig:
     """How to run the external solver: which executable, and how many
-    seconds to wait for it. ``solve()`` writes each query to a temp file and
-    removes it afterwards; ``lgnsat encode -o`` writes the same DIMACS for a
-    post-mortem."""
+    seconds to wait for it. ``executable`` None discovers one as
+    ``find_solver()`` does; a name or path must resolve. ``solve()`` writes
+    each query to a temp file and removes it afterwards; ``lgnsat encode -o``
+    writes the same DIMACS for a post-mortem."""
 
-    executable: str = DEFAULT_SOLVER
+    executable: str | None = None
     timeout: float = 300.0
 
     def __post_init__(self):
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # NaN fails this too
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
 
 
@@ -138,7 +140,7 @@ def solve(formula: CnfFormula, config: SolverConfig | None = None) -> SolveOutco
     raised); a missing solver or unreadable output raises.
     """
     config = config or SolverConfig()
-    exe = find_solver(None if config.executable == DEFAULT_SOLVER else config.executable)
+    exe = find_solver(config.executable)
     dimacs = to_dimacs(formula)
     fd, name = tempfile.mkstemp(prefix="lgnsat-", suffix=".cnf")
     path = Path(name)
@@ -171,43 +173,3 @@ def solve(formula: CnfFormula, config: SolverConfig | None = None) -> SolveOutco
     if proc.returncode == 20:
         return SolveOutcome(UNSAT, None, wall, 20, stats)
     return SolveOutcome(UNKNOWN, None, wall, proc.returncode, stats)
-
-
-def read_bits(model: tuple[bool, ...], lits) -> tuple[int, ...]:
-    """The 0/1 values of ``lits`` under a model."""
-    return tuple(int(model[abs(l)] == (l > 0)) for l in lits)
-
-
-def decode_counterexample(
-    model: tuple[bool, ...], varmap, schema: FeatureSchema, netlist: Netlist
-) -> Witness:
-    """Extract the (x, x') pair, one record per network copy of ``varmap``,
-    from a SAT model and recheck it concretely.
-
-    The recheck (classes differ, the similarity predicate holds, confidence
-    strictly clears the threshold) must pass: a failure means the encoding
-    and the evaluator disagree, which is an internal bug, never something to
-    report as a finding.
-    """
-    query = varmap.query
-    records = []
-    for copy in varmap.copies:
-        bits = read_bits(model, copy.inputs)
-        try:
-            values = schema.decode_bits(bits)
-        except DataError as exc:
-            raise EncodingConsistencyError(f"model bits are not well-formed: {exc}")
-        cls, _, conf = predict(netlist, bits)
-        records.append(InputRecord(values, bits, cls, conf))
-    x, xp = records
-    if x.cls == xp.cls:
-        raise EncodingConsistencyError(
-            f"decoded pair predicts the same class {x.cls}"
-        )
-    if not check_phi(x.bits, xp.bits, schema, query.eps, query.mode):
-        raise EncodingConsistencyError("decoded pair violates the similarity predicate")
-    if not x.conf > query.kappa:
-        raise EncodingConsistencyError(
-            f"decoded confidence {x.conf} does not exceed kappa {query.kappa}"
-        )
-    return Witness(x, xp)

@@ -119,6 +119,15 @@ class TestVerify:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_nonpositive_timeout_exit_3(self, capsys, files, timeout):
+        code, report = run_cli(
+            capsys, "verify", files["flip"], "-s", files["schema"],
+            "--mode", "fair", "--kappa", "1/2", "--timeout", timeout,
+        )
+        assert code == 3
+        assert report is None
+
     def test_forced_timeout_exit_4(self, capsys, tmp_path, files):
         code, _ = run_cli(
             capsys, "gen-random", "-d", "12", "--layers", "48,48,16",
@@ -191,6 +200,19 @@ class TestSweepAndAttainable:
         assert code == 0
         rows = report["result"]["rows"]
         assert [r["status"] for r in rows] == ["counterexample", "counterexample"]
+
+    def test_sweep_rows_and_search_probes_share_keys(self, capsys, files):
+        _, sweep_report = run_cli(
+            capsys, "sweep", files["flip"], "-s", files["schema"],
+            "--mode", "fair", "--kappas", "0.5,0.99",
+        )
+        _, search_report = run_cli(
+            capsys, "search-kappa", files["flip"], "-s", files["schema"],
+            "--mode", "fair",
+        )
+        keys = {"kappa", "status", "wall_time_s", "num_vars", "num_clauses"}
+        rows = sweep_report["result"]["rows"] + search_report["result"]["probes"]
+        assert all(set(r) == keys for r in rows)
 
     def test_attainable_exit_codes(self, capsys, files):
         code, report = run_cli(

@@ -5,19 +5,24 @@ import pytest
 
 from conftest import requires_solver
 
+from lgnsat import solver
 from lgnsat.driver import check_attainable, search_min_kappa, sweep, verify_at
+from lgnsat.encoder import ATTAINABLE, PropertyQuery, build_query
+from lgnsat.errors import EncodingConsistencyError
 from lgnsat.evaluator import (
     COUNTEREXAMPLE,
+    FAIR,
     HOLDS,
+    ROBUST,
     UNKNOWN,
     brute_force_min_kappa,
     brute_force_verify,
     enumerate_inputs,
     predict,
 )
-from lgnsat.netlist import Netlist, random_netlist
+from lgnsat.netlist import OP_FALSE, Gate, Netlist, input_ref, random_netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
-from lgnsat.solver import SolverConfig
+from lgnsat.solver import SAT, UNSAT, SolveOutcome, SolverConfig
 
 
 def small_schema():
@@ -75,7 +80,7 @@ class TestSearchMinKappa:
         result = search_min_kappa(flip_net, flip_schema, "fair", 0, config=solver_config)
         assert result.queries
         assert result.total_time == pytest.approx(
-            sum(q.wall_time for q in result.queries)
+            sum(q.stats.wall_time for q in result.queries)
         )
         # verdicts are monotone along the probe log
         holds_kappas = [q.kappa for q in result.queries if q.status == HOLDS]
@@ -157,3 +162,101 @@ class TestSweep:
         if HOLDS in statuses:
             first = statuses.index(HOLDS)
             assert all(s == HOLDS for s in statuses[first:])
+
+
+def forged_model(netlist, schema, query, *copy_bits):
+    """A SAT outcome for ``query`` whose model gives each network copy the
+    input bits listed for it, whether or not they satisfy the formula."""
+    formula, varmap = build_query(netlist, schema, query)
+    model = [False] * (formula.num_vars + 1)
+    for copy, bits in zip(varmap.copies, copy_bits, strict=True):
+        for lit, bit in zip(copy.inputs, bits, strict=True):
+            model[abs(lit)] = bool(bit) == (lit > 0)
+    return SolveOutcome(SAT, tuple(model), 0.0, 10, ())
+
+
+def answer(monkeypatch, *outcomes):
+    """Make the solver return ``outcomes``, one per call, in order."""
+    replies = iter(outcomes)
+    monkeypatch.setattr(solver, "solve", lambda formula, config=None: next(replies))
+
+
+class TestRechecks:
+    """Each concrete recheck of a SAT model turns a model the network does
+    not bear out into EncodingConsistencyError, never into a finding."""
+
+    half = Fraction(1, 2)
+
+    def test_valid_forged_pair_is_a_counterexample(self, monkeypatch, flip_net, flip_schema):
+        query = PropertyQuery(FAIR, 0, self.half)
+        answer(monkeypatch, forged_model(flip_net, flip_schema, query, (1, 0), (0, 1)))
+        verdict = verify_at(flip_net, flip_schema, FAIR, 0, self.half)
+        assert verdict.status == COUNTEREXAMPLE
+        assert (verdict.witness.x.bits, verdict.witness.x_prime.bits) == ((1, 0), (0, 1))
+
+    @pytest.mark.parametrize("bits", [(0, 0), (1, 1)])
+    def test_ill_formed_bits(self, monkeypatch, flip_net, flip_schema, bits):
+        query = PropertyQuery(FAIR, 0, self.half)
+        answer(monkeypatch, forged_model(flip_net, flip_schema, query, (1, 0), bits))
+        with pytest.raises(EncodingConsistencyError, match="formed"):
+            verify_at(flip_net, flip_schema, FAIR, 0, self.half)
+
+    def test_ill_formed_attainability_witness(self, monkeypatch, flip_net, flip_schema):
+        query = PropertyQuery(ATTAINABLE, 0, self.half)
+        answer(monkeypatch, forged_model(flip_net, flip_schema, query, (1, 1)))
+        with pytest.raises(EncodingConsistencyError, match="formed"):
+            check_attainable(flip_net, flip_schema, self.half)
+
+    def test_same_class(self, monkeypatch, const_sure_net, flip_schema):
+        # Class 0 with confidence 1 everywhere; the pair meets Phi.
+        query = PropertyQuery(FAIR, 0, self.half)
+        answer(monkeypatch, forged_model(const_sure_net, flip_schema, query, (1, 0), (0, 1)))
+        with pytest.raises(EncodingConsistencyError, match="same class"):
+            verify_at(const_sure_net, flip_schema, FAIR, 0, self.half)
+
+    def test_phi_violated(self, monkeypatch, flip_net, flip_schema):
+        # Classes differ at confidence 1, but robust mode needs equal groups.
+        query = PropertyQuery(ROBUST, 0, self.half)
+        answer(monkeypatch, forged_model(flip_net, flip_schema, query, (1, 0), (0, 1)))
+        with pytest.raises(EncodingConsistencyError, match="similarity predicate"):
+            verify_at(flip_net, flip_schema, ROBUST, 0, self.half)
+
+    def test_confidence_not_above_kappa(self, monkeypatch, flip_net, flip_schema):
+        # A valid pair at confidence 1, which does not clear kappa = 1.
+        query = PropertyQuery(FAIR, 0, Fraction(1))
+        answer(monkeypatch, forged_model(flip_net, flip_schema, query, (1, 0), (0, 1)))
+        with pytest.raises(EncodingConsistencyError, match="exceed kappa"):
+            verify_at(flip_net, flip_schema, FAIR, 0, Fraction(1))
+
+    def test_attainability_confidence_not_above_kappa(self, monkeypatch, const_net, flip_schema):
+        # Scores (1, 1): confidence exactly 1/2, with output bits set.
+        query = PropertyQuery(ATTAINABLE, 0, self.half)
+        answer(monkeypatch, forged_model(const_net, flip_schema, query, (1, 0)))
+        with pytest.raises(EncodingConsistencyError):
+            check_attainable(const_net, flip_schema, self.half)
+
+    def test_attainability_output_all_zero(self, monkeypatch, flip_schema):
+        # Every output is 0, so the degenerate confidence 1/2 clears 1/4.
+        zero_net = Netlist(
+            2,
+            ((Gate(OP_FALSE, input_ref(0), input_ref(0)),
+              Gate(OP_FALSE, input_ref(0), input_ref(0))),),
+            2,
+            1,
+        )
+        kappa = Fraction(1, 4)
+        query = PropertyQuery(ATTAINABLE, 0, kappa)
+        answer(monkeypatch, forged_model(zero_net, flip_schema, query, (1, 0)))
+        with pytest.raises(EncodingConsistencyError, match="total=0"):
+            check_attainable(zero_net, flip_schema, kappa)
+
+    def test_sweep_not_monotone(self, monkeypatch, flip_net, flip_schema):
+        # Holds at 1/2, then a valid counterexample at the larger 3/4.
+        query = PropertyQuery(FAIR, 0, Fraction(3, 4))
+        answer(
+            monkeypatch,
+            SolveOutcome(UNSAT, None, 0.0, 20, ()),
+            forged_model(flip_net, flip_schema, query, (1, 0), (0, 1)),
+        )
+        with pytest.raises(EncodingConsistencyError, match="not monotone"):
+            sweep(flip_net, flip_schema, FAIR, 0, [Fraction(3, 4), self.half])

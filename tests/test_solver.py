@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import stat
@@ -12,10 +13,12 @@ import pytest
 from conftest import requires_solver
 from helpers import models_over
 
+from lgnsat import solver as solver_module
 from lgnsat.cnf import CnfBuilder
+from lgnsat.driver import verify_at
 from lgnsat.encoder import PropertyQuery, build_query
 from lgnsat.errors import SolverNotFoundError, SolverOutputError
-from lgnsat.evaluator import check_phi
+from lgnsat.evaluator import COUNTEREXAMPLE, check_phi
 from lgnsat.netlist import random_netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 from lgnsat.solver import (
@@ -24,7 +27,6 @@ from lgnsat.solver import (
     UNKNOWN,
     UNSAT,
     SolverConfig,
-    decode_counterexample,
     find_solver,
     solve,
 )
@@ -138,6 +140,21 @@ class TestSolverDiscovery:
         monkeypatch.setenv("LGNSAT_SOLVER", "no-such-solver-here")
         with pytest.raises(SolverNotFoundError):
             find_solver()
+
+    def test_explicit_kissat_must_exist(self, monkeypatch, tmp_path):
+        # Discovery would pick the built-in here; naming kissat rules it out.
+        (tmp_path / "python3").symlink_to(sys.executable)
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.delenv("LGNSAT_SOLVER", raising=False)
+        with pytest.raises(SolverNotFoundError, match="kissat"):
+            solve(trivial_sat(), SolverConfig(executable="kissat"))
+        assert solve(trivial_sat(), SolverConfig(timeout=60.0)).status == SAT
+
+
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+def test_timeout_must_be_positive(timeout):
+    with pytest.raises(ValueError, match="timeout must be > 0"):
+        SolverConfig(timeout=timeout)
 
 
 class TestBuiltinFallback:
@@ -263,11 +280,9 @@ class TestOutputParsing:
 @requires_solver
 class TestDecode:
     def test_flip_witness_decodes_and_rechecks(self, flip_net, flip_schema, solver_config):
-        query = PropertyQuery("fair", 0, Fraction(1, 2))
-        formula, varmap = build_query(flip_net, flip_schema, query)
-        outcome = solve(formula, solver_config)
-        assert outcome.status == SAT
-        witness = decode_counterexample(outcome.model, varmap, flip_schema, flip_net)
+        verdict = verify_at(flip_net, flip_schema, "fair", 0, Fraction(1, 2), solver_config)
+        assert verdict.status == COUNTEREXAMPLE
+        witness = verdict.witness
         assert witness.x.cls != witness.x_prime.cls
         # the pair differs only in the sensitive feature (it is the only one)
         assert witness.x.values != witness.x_prime.values
@@ -281,12 +296,24 @@ class TestDecode:
             )
         )
         net = random_netlist(5, [6, 4], 2, 2, seed=seed)
-        query = PropertyQuery("fair", 1, Fraction(1, 2))
-        formula, varmap = build_query(net, schema, query)
-        outcome = solve(formula, solver_config)
-        if outcome.status != SAT:
+        verdict = verify_at(net, schema, "fair", 1, Fraction(1, 2), solver_config)
+        if verdict.status != COUNTEREXAMPLE:
             return
-        witness = decode_counterexample(outcome.model, varmap, schema, net)
+        witness = verdict.witness
         assert witness.x.cls != witness.x_prime.cls
         assert witness.x.conf > Fraction(1, 2)
         assert check_phi(witness.x.bits, witness.x_prime.bits, schema, 1, "fair")
+
+
+def test_solver_imports_only_the_cnf_and_error_modules():
+    # The solver seam knows DIMACS and its own errors; decoding a model
+    # against the network and schema belongs to the driver.
+    tree = ast.parse(Path(solver_module.__file__).read_text())
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (relative if node.level else absolute).add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute.update(alias.name for alias in node.names)
+    assert relative == {"cnf", "errors"}
+    assert not any(name.split(".")[0] == "lgnsat" for name in absolute)
