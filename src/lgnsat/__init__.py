@@ -1,7 +1,6 @@
 """SAT-based global robustness and fairness verification for logic gate
 networks: netlist model, CNF lowering, external-solver protocol, binary
-search over the safe confidence threshold, and a brute-force oracle for
-desk-scale certification."""
+search over the safe confidence threshold."""
 
 __version__ = "0.1.0"
 
@@ -23,8 +22,6 @@ from .evaluator import (
     UNKNOWN,
     Verdict,
     Witness,
-    brute_force_min_kappa,
-    brute_force_verify,
     check_phi,
     forward,
     predict,
@@ -71,8 +68,6 @@ __all__ = [
     "Verdict",
     "Witness",
     "accuracy",
-    "brute_force_min_kappa",
-    "brute_force_verify",
     "build_query",
     "check_attainable",
     "check_phi",

@@ -218,6 +218,8 @@ def cmd_attainable(args) -> int:
     attainable = check_attainable(netlist, schema, kappa, _solver_config(args))
     emit(_report(args, inputs, {"kappa": _frac(kappa), "attainable": attainable}))
     log(f"attainable at kappa={kappa}: {attainable}")
+    if attainable is None:
+        return EXIT_UNKNOWN
     return EXIT_HOLDS if attainable else EXIT_COUNTEREXAMPLE
 
 

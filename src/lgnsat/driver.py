@@ -169,14 +169,15 @@ def check_attainable(
     schema: FeatureSchema,
     kappa: Fraction,
     config: SolverConfig | None = None,
-) -> bool:
+) -> bool | None:
     """Does some well-formed input exceed the threshold with a non-vacuous
     (not all-zero) output? Guards reported thresholds against being trivially
-    satisfied. The witness input is rechecked, output bits included."""
+    satisfied. The witness input is rechecked, output bits included. None
+    when the solver gives no answer (a timeout or an unexpected exit)."""
     query = PropertyQuery(ATTAINABLE, 0, Fraction(kappa))
-    _, records, _ = _solve(netlist, schema, query, config)
+    status, records, _ = _solve(netlist, schema, query, config)
     if records is None:
-        return False
+        return False if status == sat.UNSAT else None
     if not any(forward(netlist, records[0].bits)):
         raise EncodingConsistencyError("attainability witness recheck failed: total=0")
     return True

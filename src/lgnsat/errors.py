@@ -44,10 +44,6 @@ class QueryBuildError(LgnsatError):
     """A verification query cannot be lowered (bad mode/threshold/widths)."""
 
 
-class InstanceTooLargeError(LgnsatError):
-    """Brute-force enumeration guard tripped."""
-
-
 class SolverNotFoundError(LgnsatError):
     """No usable SAT solver executable could be located."""
 

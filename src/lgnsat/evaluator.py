@@ -1,11 +1,12 @@
-"""Concrete network evaluation and brute-force verification oracles.
+"""Concrete network evaluation: predictions, confidences, and the
+similarity predicate.
 
 Evaluation is bit-sliced: the netlist's compiled program runs once over a
 whole batch of rows, on Python ints whose bit r belongs to row r. Class
 scores come from bit-plane counters over each block's output words, so a
 batch costs one pass over the live gates plus work linear in the row count.
-``predict`` and ``forward`` are one-row batches; ``accuracy`` and the
-oracles' prediction table evaluate all their rows in one batch.
+``predict`` and ``forward`` are one-row batches; ``accuracy`` evaluates
+all its rows in one batch.
 
 Confidence is the winner block's popcount over the total output popcount,
 kept as an exact Fraction throughout: float comparison would corrupt
@@ -16,12 +17,10 @@ class 0; reports flag this convention.
 
 from __future__ import annotations
 
-import itertools
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DataError, InstanceTooLargeError
+from .errors import DataError
 from .netlist import Netlist
 from .schema import FeatureSchema, NumericFeature
 
@@ -31,10 +30,6 @@ UNKNOWN = "unknown"
 
 FAIR = "fair"
 ROBUST = "robust"
-
-# Pair-enumeration guard for the brute-force oracle.
-MAX_PAIR_COUNT = 10**8
-
 
 @dataclass(frozen=True)
 class ScoreVector:
@@ -220,79 +215,3 @@ def phi_on_values(values, values_p, schema: FeatureSchema, eps: int, mode: str) 
         elif a != b:
             return False
     return True
-
-
-def enumerate_inputs(schema: FeatureSchema):
-    """All well-formed inputs in lexicographic feature-value order."""
-    domains = [
-        range(f.bits + 1) if isinstance(f, NumericFeature) else range(f.arity)
-        for f in schema.features
-    ]
-    return itertools.product(*domains)
-
-
-def well_formed_count(schema: FeatureSchema) -> int:
-    w = 1
-    for f in schema.features:
-        w *= f.bits + 1 if isinstance(f, NumericFeature) else f.arity
-    return w
-
-
-def _guard(schema: FeatureSchema) -> int:
-    w = well_formed_count(schema)
-    if w * w > MAX_PAIR_COUNT:
-        raise InstanceTooLargeError(
-            f"{w}^2 well-formed pairs exceed the {MAX_PAIR_COUNT} oracle guard"
-        )
-    return w
-
-
-def _prediction_table(netlist: Netlist, schema: FeatureSchema) -> list[InputRecord]:
-    inputs = [(v, schema.encode_values(v)) for v in enumerate_inputs(schema)]
-    predictions = predict_batch(netlist, [bits for _, bits in inputs])
-    return [
-        InputRecord(values, bits, cls, conf)
-        for (values, bits), (cls, _, conf) in zip(inputs, predictions)
-    ]
-
-
-def brute_force_verify(
-    netlist: Netlist, schema: FeatureSchema, mode: str, eps: int, kappa: Fraction
-) -> Verdict:
-    """Enumerate all well-formed ordered pairs (x, x'); Counterexample with
-    the lexicographically first pair satisfying Phi and conf(f(x)) > kappa
-    and f(x) != f(x'), else Holds. Comparisons are exact rationals, strict
-    on kappa.
-    """
-    _guard(schema)
-    kappa = Fraction(kappa)
-    started = time.monotonic()
-    table = _prediction_table(netlist, schema)
-    for x in table:
-        if not x.conf > kappa:
-            continue
-        for xp in table:
-            if xp.cls == x.cls:
-                continue
-            if phi_on_values(x.values, xp.values, schema, eps, mode):
-                stats = VerdictStats(wall_time=time.monotonic() - started)
-                return Verdict(COUNTEREXAMPLE, kappa, Witness(x, xp), stats)
-    stats = VerdictStats(wall_time=time.monotonic() - started)
-    return Verdict(HOLDS, kappa, stats=stats)
-
-
-def brute_force_min_kappa(
-    netlist: Netlist, schema: FeatureSchema, mode: str, eps: int
-) -> Fraction:
-    """Maximum conf(f(x)) over all bad pairs (Phi holds, classes differ); the
-    property holds exactly for kappa >= this value. Degenerate minimum 1/C
-    when no bad pair exists.
-    """
-    _guard(schema)
-    table = _prediction_table(netlist, schema)
-    # Scanning x by descending confidence lets the first hit decide.
-    for x in sorted(table, key=lambda r: r.conf, reverse=True):
-        for xp in table:
-            if xp.cls != x.cls and phi_on_values(x.values, xp.values, schema, eps, mode):
-                return x.conf
-    return Fraction(1, netlist.num_classes)

@@ -39,14 +39,6 @@ def gate_truth(op: int, a: int, b: int) -> int:
     return (op >> (2 * a + b)) & 1
 
 
-def input_ref(index: int) -> int:
-    return ~index
-
-
-def gate_ref(index: int) -> int:
-    return index
-
-
 class Gate(NamedTuple):
     """One 2-input gate. Inputs are ordered: op codes need not be commutative.
 

@@ -10,9 +10,10 @@ preferred solver is kissat; the LGNSAT_SOLVER environment variable
 overrides it, and a small fallback list of well-known solvers is probed
 when kissat is absent. When none of those is on PATH, the built-in
 ``cdcl.py`` next to this module runs as the last fallback: it speaks the
-same protocol, needs only ``python3`` on PATH, and is much slower than
-kissat on large queries. An explicit executable or an LGNSAT_SOLVER value
-that does not resolve is an error and never falls back to it.
+same protocol, runs under the interpreter that runs lgnsat, and is much
+slower than kissat on large queries. An explicit executable or an
+LGNSAT_SOLVER value that does not resolve is an error and never falls back
+to it.
 
 This module knows formulas and models only; the driver reads a model back
 as network inputs and rechecks it on the concrete network.
@@ -24,6 +25,7 @@ import os
 import shutil
 import signal
 import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -75,9 +77,8 @@ def find_solver(executable: str | None = None) -> str:
 
     An explicit name/path must resolve or we fail loudly, and so must the
     LGNSAT_SOLVER environment variable when it is set. Otherwise kissat is
-    tried, then the fallback list, then the built-in solver
-    (``BUILTIN_SOLVER``), which ships with the package but is much slower
-    and is chosen only when ``python3`` is on PATH to run it.
+    tried, then the fallback list, and then the built-in solver
+    (``BUILTIN_SOLVER``), which ships with the package but is much slower.
     """
     if executable:
         found = shutil.which(executable)
@@ -92,19 +93,11 @@ def find_solver(executable: str | None = None) -> str:
                 f"{SOLVER_ENV_VAR}={env!r} does not resolve to an executable"
             )
         return found
-    names = (DEFAULT_SOLVER, *FALLBACK_SOLVERS)
-    if shutil.which("python3"):  # the built-in starts with "#!/usr/bin/env python3"
-        names += (BUILTIN_SOLVER,)
-    for name in names:
+    for name in (DEFAULT_SOLVER, *FALLBACK_SOLVERS):
         found = shutil.which(name)
         if found:
             return found
-    raise SolverNotFoundError(
-        f"no SAT solver found: kissat and {', '.join(FALLBACK_SOLVERS)} are not "
-        f"on PATH and the built-in fallback {BUILTIN_SOLVER} is not executable "
-        f"or python3 is not on PATH; install kissat (or any DIMACS solver) or "
-        f"set {SOLVER_ENV_VAR}"
-    )
+    return BUILTIN_SOLVER
 
 
 def _parse_model(stdout: str, num_vars: int) -> tuple[bool, ...]:
@@ -141,6 +134,8 @@ def solve(formula: CnfFormula, config: SolverConfig | None = None) -> SolveOutco
     """
     config = config or SolverConfig()
     exe = find_solver(config.executable)
+    # The built-in runs under this interpreter, whatever PATH holds.
+    command = [sys.executable, exe] if exe == BUILTIN_SOLVER else [exe]
     dimacs = to_dimacs(formula)
     fd, name = tempfile.mkstemp(prefix="lgnsat-", suffix=".cnf")
     path = Path(name)
@@ -151,7 +146,7 @@ def solve(formula: CnfFormula, config: SolverConfig | None = None) -> SolveOutco
         # Its own session makes the solver the leader of a process group,
         # so a timeout ends every process it started, not just the first.
         with subprocess.Popen(
-            [exe, str(path)], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            [*command, str(path)], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
             text=True, start_new_session=True,
         ) as proc:
             try:

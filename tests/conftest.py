@@ -5,24 +5,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lgnsat.errors import SolverNotFoundError
-from lgnsat.netlist import Gate, Netlist, input_ref
+from helpers import input_ref
+
+from lgnsat.netlist import Gate, Netlist
 from lgnsat.netlist import OP_FALSE, OP_PASS_A, OP_TRUE
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
-from lgnsat.solver import SolverConfig, find_solver
-
-
-def solver_available() -> bool:
-    try:
-        find_solver()
-        return True
-    except SolverNotFoundError:
-        return False
-
-
-requires_solver = pytest.mark.skipif(
-    not solver_available(), reason="no DIMACS SAT solver on PATH"
-)
+from lgnsat.solver import SolverConfig
 
 
 @pytest.fixture(scope="session")

@@ -3,16 +3,42 @@
 Everything here is deliberately written against different primitives than
 the package code: the op table spells out named Boolean functions instead
 of indexing truth-table bits, the interpreter walks the DAG recursively
-instead of sweeping layers, and the unit propagator checks encodings
-without the external solver (full-equivalence Tseitin makes every
-auxiliary variable derivable from a complete input assignment).
+instead of sweeping layers, the sorting-network oracle builds Batcher's
+merge recursively instead of running a traced program, the brute-force
+verifier enumerates every well-formed input pair instead of calling a
+solver, and the unit propagator checks encodings without the external
+solver (full-equivalence Tseitin makes every auxiliary variable derivable
+from a complete input assignment).
 """
 
 from __future__ import annotations
 
 import itertools
+import time
+from fractions import Fraction
 
+from lgnsat.evaluator import (
+    COUNTEREXAMPLE,
+    HOLDS,
+    InputRecord,
+    Verdict,
+    VerdictStats,
+    Witness,
+    phi_on_values,
+    predict_batch,
+)
 from lgnsat.netlist import Netlist
+from lgnsat.schema import FeatureSchema, NumericFeature
+
+
+def input_ref(index: int) -> int:
+    """Gate-input ref of input bit ``index``."""
+    return ~index
+
+
+def gate_ref(index: int) -> int:
+    """Gate-input ref of gate ``index`` (global id)."""
+    return index
 
 # The 16 two-input Boolean functions by name, keyed by truth-table code.
 NAMED_OPS = {
@@ -155,3 +181,165 @@ def models_over(formula, variables):
 
 def count_models(formula, variables) -> int:
     return sum(1 for _ in models_over(formula, variables))
+
+
+# -- sorting-network oracle -----------------------------------------------------
+
+
+class OracleSorter:
+    """Reference for ``CnfBuilder.sort_block``: Batcher's odd-even merge
+    built recursively, each comparator an OR then an AND of two literals,
+    folded on the constants 1 (TRUE) and -1 (FALSE). It numbers fresh
+    variables from ``num_vars`` and collects clauses as the builder does, so
+    both can be compared literal for literal."""
+
+    def __init__(self, num_vars: int):
+        self.num_vars = num_vars
+        self.clauses: list[tuple[int, ...]] = []
+
+    def _fresh(self) -> int:
+        self.num_vars += 1
+        return self.num_vars
+
+    def _or(self, a: int, b: int) -> int:
+        if a == 1 or b == 1 or a == -b:
+            return 1
+        if a == -1:
+            return b
+        if b == -1 or a == b:
+            return a
+        o = self._fresh()
+        self.clauses.extend([(o, -a), (o, -b), (-o, a, b)])
+        return o
+
+    def _and(self, a: int, b: int) -> int:
+        if a == -1 or b == -1 or a == -b:
+            return -1
+        if a == 1:
+            return b
+        if b == 1 or a == b:
+            return a
+        o = self._fresh()
+        self.clauses.extend([(-o, a), (-o, b), (o, -a, -b)])
+        return o
+
+    def merge(self, a: list[int], b: list[int]) -> list[int]:
+        """Merge two ascending runs of equal power-of-two length."""
+        if len(a) == 1:
+            hi = self._or(a[0], b[0])
+            return [self._and(a[0], b[0]), hi]
+        even = self.merge(a[0::2], b[0::2])
+        odd = self.merge(a[1::2], b[1::2])
+        out = [even[0]]
+        for i in range(1, len(a)):
+            hi = self._or(odd[i - 1], even[i])
+            out += [self._and(odd[i - 1], even[i]), hi]
+        return out + [odd[-1]]
+
+    def sort(self, lits, run: int = 1) -> list[int]:
+        """Descending sort of descending runs of ``run`` literals: merge the
+        two shortest runs (ties by age) after padding both with FALSE to a
+        shared power of two, and drop the padding from the low end."""
+        lits = list(lits)
+        pending = [
+            (len(lits[k:k + run]), age, list(reversed(lits[k:k + run])))
+            for age, k in enumerate(range(0, len(lits), run))
+        ]
+        age = len(pending)
+        while len(pending) > 1:
+            pending.sort(key=lambda entry: entry[:2])
+            (na, _, a), (nb, _, b) = pending[0], pending[1]
+            del pending[:2]
+            size = 1
+            while size < max(na, nb):
+                size *= 2
+            merged = self.merge([-1] * (size - na) + a, [-1] * (size - nb) + b)
+            pending.append((na + nb, age, merged[2 * size - na - nb:]))
+            age += 1
+        return list(reversed(pending[0][2])) if pending else []
+
+
+# -- brute-force verification oracles ------------------------------------------
+
+# Pair-enumeration guard for the brute-force oracle.
+MAX_PAIR_COUNT = 10**8
+
+
+class InstanceTooLargeError(Exception):
+    """The brute-force oracle would enumerate too many input pairs."""
+
+
+def enumerate_inputs(schema: FeatureSchema):
+    """All well-formed inputs in lexicographic feature-value order."""
+    domains = [
+        range(f.bits + 1) if isinstance(f, NumericFeature) else range(f.arity)
+        for f in schema.features
+    ]
+    return itertools.product(*domains)
+
+
+def well_formed_count(schema: FeatureSchema) -> int:
+    w = 1
+    for f in schema.features:
+        w *= f.bits + 1 if isinstance(f, NumericFeature) else f.arity
+    return w
+
+
+def _guard(schema: FeatureSchema) -> int:
+    w = well_formed_count(schema)
+    if w * w > MAX_PAIR_COUNT:
+        raise InstanceTooLargeError(
+            f"{w}^2 well-formed pairs exceed the {MAX_PAIR_COUNT} oracle guard"
+        )
+    return w
+
+
+def _prediction_table(netlist: Netlist, schema: FeatureSchema) -> list[InputRecord]:
+    inputs = [(v, schema.encode_values(v)) for v in enumerate_inputs(schema)]
+    predictions = predict_batch(netlist, [bits for _, bits in inputs])
+    return [
+        InputRecord(values, bits, cls, conf)
+        for (values, bits), (cls, _, conf) in zip(inputs, predictions)
+    ]
+
+
+def brute_force_verify(
+    netlist: Netlist, schema: FeatureSchema, mode: str, eps: int, kappa: Fraction
+) -> Verdict:
+    """Enumerate all well-formed ordered pairs (x, x'); Counterexample with
+    the lexicographically first pair satisfying Phi and conf(f(x)) > kappa
+    and f(x) != f(x'), else Holds. Comparisons are exact rationals, strict
+    on kappa.
+    """
+    _guard(schema)
+    kappa = Fraction(kappa)
+    started = time.monotonic()
+    table = _prediction_table(netlist, schema)
+    for x in table:
+        if not x.conf > kappa:
+            continue
+        for xp in table:
+            if xp.cls == x.cls:
+                continue
+            if phi_on_values(x.values, xp.values, schema, eps, mode):
+                stats = VerdictStats(wall_time=time.monotonic() - started)
+                return Verdict(COUNTEREXAMPLE, kappa, Witness(x, xp), stats)
+    stats = VerdictStats(wall_time=time.monotonic() - started)
+    return Verdict(HOLDS, kappa, stats=stats)
+
+
+def brute_force_min_kappa(
+    netlist: Netlist, schema: FeatureSchema, mode: str, eps: int
+) -> Fraction:
+    """Maximum conf(f(x)) over all bad pairs (Phi holds, classes differ); the
+    property holds exactly for kappa >= this value. Degenerate minimum 1/C
+    when no bad pair exists.
+    """
+    _guard(schema)
+    table = _prediction_table(netlist, schema)
+    # Scanning x by descending confidence lets the first hit decide.
+    for x in sorted(table, key=lambda r: r.conf, reverse=True):
+        for xp in table:
+            if xp.cls != x.cls and phi_on_values(x.values, xp.values, schema, eps, mode):
+                return x.conf
+    return Fraction(1, netlist.num_classes)

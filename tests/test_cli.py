@@ -8,12 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import requires_solver
-
 from lgnsat.cli import main
 from lgnsat.netlist import serialize_netlist
 from lgnsat.schema import serialize_schema
-from lgnsat.solver import find_solver
+from lgnsat.solver import BUILTIN_SOLVER, find_solver
 
 
 @pytest.fixture
@@ -83,7 +81,6 @@ class TestValidate:
         assert code == 3
 
 
-@requires_solver
 class TestVerify:
     def test_constant_net_holds_exit_0(self, capsys, files):
         code, report = run_cli(
@@ -147,7 +144,6 @@ class TestVerify:
         assert report["result"]["status"] == "unknown"
 
 
-@requires_solver
 class TestSearchKappa:
     def test_constant_net(self, capsys, files):
         code, report = run_cli(
@@ -190,7 +186,6 @@ class TestSearchKappa:
         assert result["attainable"] is True
 
 
-@requires_solver
 class TestSweepAndAttainable:
     def test_sweep_rows(self, capsys, files):
         code, report = run_cli(
@@ -227,7 +222,44 @@ class TestSweepAndAttainable:
         assert code == 1 and report["result"]["attainable"] is False
 
 
-@requires_solver
+def sleeping_solver(tmp_path, answered: int = 0) -> Path:
+    """A solver that hands its first ``answered`` calls to the built-in and
+    sleeps through every later one."""
+    counter = tmp_path / "calls"
+    exe = tmp_path / "sleepy-solver"
+    exe.write_text(
+        "#!/bin/sh\n"
+        f"calls=$(cat '{counter}' 2>/dev/null || echo 0)\n"
+        f"echo $((calls + 1)) > '{counter}'\n"
+        f"[ \"$calls\" -lt {answered} ] || exec sleep 30\n"
+        f"exec '{sys.executable}' '{BUILTIN_SOLVER}' \"$1\"\n"
+    )
+    exe.chmod(0o755)
+    return exe
+
+
+class TestAttainableTimeout:
+    def test_attainable_exit_4_with_null(self, capsys, files, tmp_path):
+        code, report = run_cli(
+            capsys, "attainable", files["const_sure"], "-s", files["schema"],
+            "--kappa", "1/2", "--solver", sleeping_solver(tmp_path), "--timeout", "0.3",
+        )
+        assert code == 4
+        assert report["result"]["attainable"] is None
+
+    def test_search_reports_null_attainable(self, capsys, files, tmp_path):
+        # The two search probes are answered; the attainability probe sleeps.
+        code, report = run_cli(
+            capsys, "search-kappa", files["const"], "-s", files["schema"],
+            "--mode", "fair", "--solver", sleeping_solver(tmp_path, answered=2),
+            "--timeout", "3",
+        )
+        result = report["result"]
+        assert [p["status"] for p in result["probes"]] == ["holds", "holds"]
+        assert code == 0 and result["converged"] is True
+        assert result["attainable"] is None
+
+
 class TestEncode:
     def test_deterministic_and_solver_equivalent(self, capsys, files, tmp_path):
         out1, out2 = tmp_path / "q1.cnf", tmp_path / "q2.cnf"
@@ -244,9 +276,9 @@ class TestEncode:
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "q1.map").exists()
         # hand-running the solver on the emitted file matches verify's verdict
-        proc = subprocess.run(
-            [find_solver(), str(out1)], capture_output=True, text=True
-        )
+        exe = find_solver()
+        command = [sys.executable, exe] if exe == BUILTIN_SOLVER else [exe]
+        proc = subprocess.run([*command, str(out1)], capture_output=True, text=True)
         assert proc.returncode == 10  # SAT, same as the counterexample verdict
 
     def test_encode_header_counts(self, capsys, files, tmp_path):
@@ -288,7 +320,6 @@ class TestGenRandomEvalAccuracy:
         code, _ = run_cli(capsys, "eval", files["flip"], "-s", files["schema"])
         assert code == 3
 
-    @requires_solver
     def test_eval_matches_verify_witness(self, capsys, files):
         _, report = run_cli(
             capsys, "verify", files["flip"], "-s", files["schema"],

@@ -3,10 +3,17 @@ import random
 
 import pytest
 
-from helpers import NAMED_OPS, bcp_satisfiable, forced_values, interpret
+from helpers import (
+    NAMED_OPS,
+    OracleSorter,
+    forced_values,
+    gate_ref,
+    input_ref,
+    interpret,
+)
 
 from lgnsat.cnf import FALSE_LIT, TRUE_LIT, CnfBuilder, CnfFormula, to_dimacs
-from lgnsat.netlist import Gate, Netlist, gate_ref, input_ref, random_netlist
+from lgnsat.netlist import Gate, Netlist, random_netlist
 
 
 class TestBuilderBasics:
@@ -265,23 +272,29 @@ class TestSortBlock:
 
 
 class TestComparator:
+    """A two-literal sort is one comparator, run by the same loop as every
+    merge: (hi, lo) must be (lit_or, lit_and) of the pair."""
+
     @pytest.mark.parametrize("signs", itertools.product((1, -1), repeat=2))
     def test_fast_path_matches_or_and(self, signs):
         fast, slow = CnfBuilder(), CnfBuilder()
         for builder in (fast, slow):
             builder.new_vars(2)
         a, b = signs[0] * 2, signs[1] * 3
-        hi_lo = fast.comparator(a, b)
-        assert hi_lo == (slow.lit_or(a, b), slow.lit_and(a, b))
+        assert fast.sort_block([a, b]) == [slow.lit_or(a, b), slow.lit_and(a, b)]
         assert fast.clauses == slow.clauses
         assert fast.num_vars == slow.num_vars == 5
 
     @pytest.mark.parametrize("signs", itertools.product((1, -1), repeat=2))
-    @pytest.mark.parametrize("connective", ["lit_and", "lit_or", "lit_xor"])
+    @pytest.mark.parametrize("connective", ["lit_and", "lit_or", "lit_xor", "sort_block"])
     def test_direct_clauses_are_already_normalised(self, connective, signs):
         b = CnfBuilder()
         b.new_vars(2)
-        getattr(b, connective)(signs[0] * 2, signs[1] * 3)
+        pair = (signs[0] * 2, signs[1] * 3)
+        if connective == "sort_block":
+            b.sort_block(pair)
+        else:
+            getattr(b, connective)(*pair)
         appended = b.clauses[1:]
         b.clauses = [(TRUE_LIT,)]
         b.add_clauses(appended)
@@ -290,13 +303,54 @@ class TestComparator:
     def test_folding_unchanged(self):
         b = CnfBuilder()
         x = b.new_var()
-        assert b.comparator(x, TRUE_LIT) == (TRUE_LIT, x)
-        assert b.comparator(FALSE_LIT, x) == (x, FALSE_LIT)
-        assert b.comparator(x, x) == (x, x)
-        assert b.comparator(-x, -x) == (-x, -x)
-        assert b.comparator(x, -x) == (TRUE_LIT, FALSE_LIT)
-        assert b.comparator(TRUE_LIT, FALSE_LIT) == (TRUE_LIT, FALSE_LIT)
+        assert b.sort_block([x, TRUE_LIT]) == [TRUE_LIT, x]
+        assert b.sort_block([FALSE_LIT, x]) == [x, FALSE_LIT]
+        assert b.sort_block([x, x]) == [x, x]
+        assert b.sort_block([-x, -x]) == [-x, -x]
+        assert b.sort_block([x, -x]) == [TRUE_LIT, FALSE_LIT]
+        assert b.sort_block([TRUE_LIT, FALSE_LIT]) == [TRUE_LIT, FALSE_LIT]
         assert b.num_vars == 2 and b.clauses == [(TRUE_LIT,)]
+
+
+def _mixed_literals(rng: random.Random, n: int, num_vars: int) -> list[int]:
+    """n literals over variables 2..num_vars and the constants, so that
+    TRUE, FALSE, repeats and complementary pairs all turn up."""
+    pool = [TRUE_LIT, FALSE_LIT] + [
+        sign * v for v in range(2, num_vars + 1) for sign in (1, -1)
+    ]
+    return [rng.choice(pool) for _ in range(n)]
+
+
+class TestSortBlockMatchesOracle:
+    """sort_block gives the same literals, variables and clauses, in the same
+    order, as the recursive odd-even merge in helpers."""
+
+    @staticmethod
+    def check(lits, run, num_vars):
+        b = CnfBuilder()
+        b.new_vars(num_vars - 1)
+        oracle = OracleSorter(num_vars)
+        assert b.sort_block(lits, run=run) == oracle.sort(lits, run=run)
+        assert b.num_vars == oracle.num_vars
+        assert b.clauses[1:] == oracle.clauses
+
+    @pytest.mark.parametrize("run", (1, 2, 3))
+    def test_mixed_inputs(self, run):
+        # Up to 128 literals, so run=1 reaches merges of 64 wires a side.
+        rng = random.Random(run)
+        for n in range(1, 129):
+            num_vars = rng.randint(2, max(2, n // 2))
+            self.check(_mixed_literals(rng, n, num_vars), run, num_vars)
+
+    @pytest.mark.parametrize("size", range(1, 65))
+    def test_every_merge_size(self, size):
+        # Two runs of ``size`` make one merge, padded to the next power of
+        # two; a last run one shorter pads the two runs differently.
+        rng = random.Random(size)
+        for n in (2 * size, 2 * size - 1):
+            num_vars = size + 1
+            self.check(_mixed_literals(rng, n, num_vars), size, num_vars)
+            self.check(list(range(2, n + 2)), size, n + 1)
 
 
 class TestDimacs:
@@ -322,6 +376,18 @@ class TestDimacs:
                 " ".join(map(str, c)) + " 0\n" for c in clauses
             )
             assert to_dimacs(CnfFormula(10**6, clauses)) == expected.encode("ascii")
+
+    def test_empty_formula(self):
+        assert to_dimacs(CnfFormula(0, ())) == b"p cnf 0 0\n"
+
+    def test_long_clause(self):
+        clause = tuple(range(-20, 0)) + tuple(range(1, 21))
+        expected = "p cnf 20 1\n" + " ".join(map(str, clause)) + " 0\n"
+        assert to_dimacs(CnfFormula(20, (clause,))) == expected.encode("ascii")
+
+    def test_empty_clause_is_a_lone_zero(self):
+        formula = CnfFormula(2, ((1,), (), (-2, 1)))
+        assert to_dimacs(formula) == b"p cnf 2 3\n1 0\n0\n-2 1 0\n"
 
     def test_solver_round_trip(self, solver_config):
         from lgnsat.solver import solve

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import requires_solver
+from helpers import brute_force_min_kappa, brute_force_verify, enumerate_inputs, input_ref
 
 from lgnsat import solver
 from lgnsat.driver import check_attainable, search_min_kappa, sweep, verify_at
@@ -15,12 +15,9 @@ from lgnsat.evaluator import (
     HOLDS,
     ROBUST,
     UNKNOWN,
-    brute_force_min_kappa,
-    brute_force_verify,
-    enumerate_inputs,
     predict,
 )
-from lgnsat.netlist import OP_FALSE, Gate, Netlist, input_ref, random_netlist
+from lgnsat.netlist import OP_FALSE, Gate, Netlist, random_netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 from lgnsat.solver import SAT, UNSAT, SolveOutcome, SolverConfig
 
@@ -34,7 +31,6 @@ def small_schema():
     )
 
 
-@requires_solver
 class TestVerifyAt:
     def test_constant_net_holds(self, const_net, flip_schema, solver_config):
         verdict = verify_at(const_net, flip_schema, "robust", 0, Fraction(1, 2), solver_config)
@@ -59,7 +55,6 @@ class TestVerifyAt:
                 assert got == expected, (seed, mode, eps, kappa)
 
 
-@requires_solver
 class TestSearchMinKappa:
     def test_constant_net_two_probes(self, const_net, flip_schema, solver_config):
         result = search_min_kappa(const_net, flip_schema, "fair", 0, config=solver_config)
@@ -111,7 +106,6 @@ class TestSearchMinKappa:
         assert "aborted" in result.note
 
 
-@requires_solver
 class TestAttainable:
     def test_confident_constant_net(self, const_sure_net, flip_schema, solver_config):
         # scores (1, 0): confidence 1 on every input
@@ -137,8 +131,14 @@ class TestAttainable:
             expected = any(c > kappa for c in confs)
             assert check_attainable(net, schema, kappa, solver_config) == expected
 
+    def test_timeout_is_unknown_not_unattainable(self, const_sure_net, flip_schema, tmp_path):
+        exe = tmp_path / "slow-solver"
+        exe.write_text("#!/bin/sh\nexec sleep 30\n")
+        exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
+        config = SolverConfig(executable=str(exe), timeout=0.3)
+        assert check_attainable(const_sure_net, flip_schema, Fraction(1, 2), config) is None
 
-@requires_solver
+
 class TestSweep:
     def test_flip_rows(self, flip_net, flip_schema, solver_config):
         rows = sweep(

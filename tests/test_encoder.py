@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from helpers import bcp_satisfiable, count_models, forced_values, models_over
 
-from lgnsat.cnf import CnfBuilder
+from lgnsat.cnf import CnfBuilder, to_dimacs
 from lgnsat.encoder import (
     PropertyQuery,
     build_query,
@@ -299,3 +300,49 @@ class TestBuildQuery:
             "mode", "eps", "kappa", "v_in", "v_out",
             *(f"sorted_block.{c}" for c in blocks), "total_sorted",
         ]
+
+
+def _adult_schema() -> FeatureSchema:
+    return FeatureSchema(
+        tuple(NumericFeature(f"num{i}", 10, 0.0, 11.0) for i in range(6))
+        + tuple(CategoricalFeature(f"cat{i}", 8) for i in range(4))
+        + (CategoricalFeature("sex", 2, True), CategoricalFeature("race", 6, True))
+    )
+
+
+def _ten_class_schema() -> FeatureSchema:
+    return FeatureSchema(
+        tuple(NumericFeature(f"num{i}", 8, 0.0, 9.0) for i in range(5))
+        + tuple(CategoricalFeature(f"cat{i}", 5) for i in range(4))
+    )
+
+
+class TestPinnedQueryBytes:
+    """DIMACS and sidecar bytes of two seeded queries, pinned so that a
+    change meant to speed up the encoder cannot change what it writes."""
+
+    @pytest.mark.parametrize(
+        "schema, shape, query, dimacs_sha, sidecar_sha",
+        [
+            (
+                _adult_schema(),
+                (100, [2000, 2000, 2000, 1000], 2, 500),
+                PropertyQuery("fair", 1, Fraction(3, 4)),
+                "5bf3d478391788531b26c3d7ec6cac36b462f964bb1cff36e70e91180b9baf5a",
+                "597e2f19bbfa07a81d0fb27e783d1786ef0b25abefe23e0fbf90d1c92bcf3371",
+            ),
+            (
+                _ten_class_schema(),
+                (60, [1000, 1000, 1000], 10, 100),
+                PropertyQuery("robust", 1, Fraction(1, 2)),
+                "0eef989c75953b07581930f10d50900ae2d80fc5d6f0e788e47043c010ee9d68",
+                "f41e0182432af5e1268ef1c02bcec2d1ee45236170c0e91c4d60a5cd45d16fee",
+            ),
+        ],
+        ids=["adult-fair", "ten-class-robust"],
+    )
+    def test_dimacs_and_sidecar(self, schema, shape, query, dimacs_sha, sidecar_sha):
+        net = random_netlist(*shape, seed=1)
+        formula, varmap = build_query(net, schema, query)
+        assert hashlib.sha256(to_dimacs(formula)).hexdigest() == dimacs_sha
+        assert hashlib.sha256(varmap.sidecar().encode()).hexdigest() == sidecar_sha

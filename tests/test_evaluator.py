@@ -6,26 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import interpret
+from helpers import (
+    InstanceTooLargeError,
+    brute_force_min_kappa,
+    brute_force_verify,
+    enumerate_inputs,
+    gate_ref,
+    input_ref,
+    interpret,
+)
 
-from lgnsat.errors import DataError, InstanceTooLargeError
+from lgnsat.errors import DataError
 from lgnsat.evaluator import (
     COUNTEREXAMPLE,
     FAIR,
     HOLDS,
     ROBUST,
     ScoreVector,
-    brute_force_min_kappa,
-    brute_force_verify,
     check_phi,
     confidence_of,
-    enumerate_inputs,
     forward,
     predict,
     predict_batch,
     winner_of,
 )
-from lgnsat.netlist import Gate, Netlist, gate_ref, input_ref, random_netlist
+from lgnsat.netlist import Gate, Netlist, random_netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 
 

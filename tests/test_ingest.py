@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import input_ref
+
 from lgnsat.errors import DataError
 from lgnsat.evaluator import predict
 from lgnsat.ingest import Dataset, accuracy, encode_row, load_csv
-from lgnsat.netlist import Gate, Netlist, input_ref
+from lgnsat.netlist import Gate, Netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 
 

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from helpers import NAMED_OPS
+from helpers import NAMED_OPS, gate_ref, input_ref
 
 from lgnsat.cnf import CnfBuilder
 from lgnsat.errors import InvalidNetlistError, NetlistFormatError
@@ -11,9 +11,7 @@ from lgnsat.evaluator import forward, predict
 from lgnsat.netlist import (
     Gate,
     Netlist,
-    gate_ref,
     gate_truth,
-    input_ref,
     parse_netlist,
     random_netlist,
     serialize_netlist,
