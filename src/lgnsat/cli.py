@@ -296,7 +296,7 @@ def cmd_accuracy(args) -> int:
         args, "netlist", "schema", "csv"
     )
     netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
-    dataset = load_csv(schema, csv_data.decode("utf-8"), label_col=args.label_col)
+    dataset = load_csv(schema, csv_data.decode("utf-8-sig"), label_col=args.label_col)
     acc = accuracy(netlist, dataset)
     result = {"rows": len(dataset.rows), "accuracy": _frac(acc)}
     emit(_report(args, inputs, result))

@@ -104,6 +104,9 @@ _OPS = (
     lambda a, b, m: m,
 )
 
+# Byte b of an input column -> its binary digit: "0" for 0, "1" otherwise.
+_BIT_DIGITS = b"0" + b"1" * 255
+
 
 def _output_words(netlist: Netlist, rows) -> list[int]:
     """Run the compiled program over all rows at once; returns one int per
@@ -118,7 +121,7 @@ def _output_words(netlist: Netlist, rows) -> list[int]:
     mask = (1 << len(rows)) - 1
     values: list = [None] * (netlist.input_width + netlist.num_gates)
     for i, column in enumerate(zip(*rows)):
-        values[i] = int("".join("1" if v else "0" for v in reversed(column)), 2)
+        values[i] = int(bytes(column[::-1]).translate(_BIT_DIGITS), 2)
     for node, op, a, b in program:
         values[node] = _OPS[op](values[a], values[b], mask)
     return values[len(values) - netlist.num_outputs:]

@@ -76,29 +76,34 @@ def encode_row(schema: FeatureSchema, raw_values) -> tuple[int, ...]:
 def load_csv(schema: FeatureSchema, text: str, label_col: str = "label") -> Dataset:
     """Parse CSV text with a header row whose columns include every schema
     feature name plus the label column. Callers read the file themselves,
-    so the bytes they hash are the bytes parsed."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+    so the bytes they hash are the bytes parsed. Blank lines are skipped,
+    cells past the header ignored, and a repeated header name reads its
+    last column."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
         raise DataError("CSV has no header row")
-    missing = [
-        f.name for f in schema.features if f.name not in reader.fieldnames
-    ]
+    column = {name: i for i, name in enumerate(header)}
+    missing = [f.name for f in schema.features if f.name not in column]
     if missing:
         raise DataError(f"CSV is missing feature columns: {missing}")
-    if label_col not in reader.fieldnames:
+    if label_col not in column:
         raise DataError(f"CSV is missing label column {label_col!r}")
+    cells = [(f.name, column[f.name]) for f in schema.features]
+    label_at = column[label_col]
     rows = []
-    for lineno, record in enumerate(reader, start=2):
+    for lineno, record in enumerate(filter(None, reader), start=2):
         values = []
-        for f in schema.features:
-            cell = record[f.name]
-            if cell is None or cell.strip() == "":
-                raise DataError(f"row {lineno}: missing value for {f.name!r}")
-            values.append(cell.strip())
+        for name, i in cells:
+            cell = record[i].strip() if i < len(record) else ""
+            if not cell:
+                raise DataError(f"row {lineno}: missing value for {name!r}")
+            values.append(cell)
+        label = record[label_at] if label_at < len(record) else None
         try:
-            label = int(record[label_col])
+            label = int(label)
         except (TypeError, ValueError):
-            raise DataError(f"row {lineno}: non-integer label {record[label_col]!r}")
+            raise DataError(f"row {lineno}: non-integer label {label!r}")
         rows.append((tuple(values), label))
     return Dataset(schema, tuple(rows))
 

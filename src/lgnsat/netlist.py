@@ -13,6 +13,10 @@ gate r and ``r < 0`` reads input bit ``~r`` (file text ``g{r}`` and
 ``i{~r}``). Refs do not depend on ``input_width``, so an input bit out of
 range stays an input bit that ``validate`` can name.
 
+A gate is an exact ``(op, a, b)`` int tuple, never a tuple subclass or a
+dataclass: the cyclic collector untracks exact tuples of ints, so the
+thousands of gates of a parsed netlist add nothing to a full collection.
+
 ``Netlist.program`` is the compiled form that the CNF encoder and the
 evaluator both walk. Only there are nodes numbered in one space: input
 bit i is node i and gate g is node ``input_width + g``.
@@ -24,7 +28,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from operator import neg, xor
 
 from .errors import InvalidNetlistError, NetlistFormatError
 
@@ -39,16 +43,10 @@ def gate_truth(op: int, a: int, b: int) -> int:
     return (op >> (2 * a + b)) & 1
 
 
-class Gate(NamedTuple):
-    """One 2-input gate. Inputs are ordered: op codes need not be commutative.
-
-    Each input is a ref: ``r >= 0`` is gate r (global id), ``r < 0`` is
-    input bit ``~r``.
-    """
-
-    op: int
-    in_a: int
-    in_b: int
+Gate = tuple[int, int, int]
+"""One 2-input gate ``(op, a, b)``: an exact int triple, which the cyclic
+collector untracks. Inputs are ordered, as op codes need not be commutative;
+a ref ``r >= 0`` is gate r (global id) and ``r < 0`` is input bit ``~r``."""
 
 
 @dataclass(frozen=True)
@@ -195,9 +193,15 @@ def check_valid(netlist: Netlist) -> None:
 
 _GATE = r"\(\s*(\d+)\s*,\s*(?:i(\d+)|g(\d+))\s*,\s*(?:i(\d+)|g(\d+))\s*\)"
 _GATE_RE = re.compile(_GATE)
-# A whole layer line. A match that stops short of the end of the line stops
-# at the first token that is not a gate.
-_LAYER_RE = re.compile(rf"\s*layer\s*(?:{_GATE}\s*)*")
+# A whole layer line, its gates in group 1. A match that stops short of the
+# end of the line stops at the first token that is not a gate.
+_LAYER_RE = re.compile(rf"\s*layer(\s*(?:{_GATE}\s*)*)")
+# Matched gate text holds only gates and whitespace. Blanking punctuation
+# and ref kinds leaves three numbers per gate. Keeping only "(", "i" and
+# "g" leaves one kind byte per number: 1 for an input ref, else 0.
+_NUMBERS = str.maketrans("(),ig", "     ")
+_KINDS = bytes.maketrans(b"(ig", b"\x00\x01\x00")
+_NOT_KINDS = bytes(c for c in range(256) if c not in b"(ig")
 _MAGIC = "lgn 1"
 
 
@@ -244,11 +248,12 @@ def _parse_layer_line(lineno: int, line: str) -> tuple[Gate, ...]:
             f"expected 'layer ...', got {line.strip()!r}", line=lineno
         )
     end = whole.end()
-    gates = tuple([
-        Gate(int(op), ~int(ia) if ia else int(ga), ~int(ib) if ib else int(gb))
-        for op, ia, ga, ib, gb in _GATE_RE.findall(line, 0, end)
-    ])
-    if any(g.op > 15 for g in gates):
+    body = whole[1]
+    # n ^ -kind: the number n of an input ref becomes its ref ~n.
+    nums = list(map(xor, map(int, body.translate(_NUMBERS).split()),
+                    map(neg, body.encode().translate(_KINDS, _NOT_KINDS))))
+    gates = tuple(zip(nums[0::3], nums[1::3], nums[2::3]))
+    if gates and max(nums[0::3]) > 15:
         bad = next(m for m in _GATE_RE.finditer(line, 0, end) if int(m[1]) > 15)
         raise NetlistFormatError(
             f"op code {int(bad[1])} outside 0..15", line=lineno, col=bad.start(1) + 1
@@ -272,7 +277,7 @@ def parse_netlist(data: bytes | str, run_validation: bool = True) -> Netlist:
     returned, so structural violations raise InvalidNetlistError here and
     the checked program is cached for the encoder and the evaluator.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     lines = [
         (i + 1, ln)
         for i, ln in enumerate(text.splitlines())
@@ -325,7 +330,7 @@ def random_netlist(
 
     for size in layer_sizes:
         layers.append(
-            tuple(Gate(rng.randrange(16), draw(), draw()) for _ in range(size))
+            tuple((rng.randrange(16), draw(), draw()) for _ in range(size))
         )
         lo, n = (0 if lo is None else lo + n), size
     net = Netlist(input_width, tuple(layers), num_classes, block_size)

@@ -152,6 +152,18 @@ class FeatureSchema:
                 values.append(block.index(1))
         return tuple(values)
 
+    @cached_property
+    def _bit_patterns(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per feature, the bit pattern of each of its values, indexed by the
+        value: thermometer patterns for buckets 0..bits, one-hot patterns for
+        categories 0..arity-1. Built once per schema."""
+        return tuple(
+            tuple((1,) * v + (0,) * (f.bits - v) for v in range(f.bits + 1))
+            if isinstance(f, NumericFeature)
+            else tuple((0,) * v + (1,) + (0,) * (f.arity - 1 - v) for v in range(f.arity))
+            for f in self.features
+        )
+
     def encode_values(self, values) -> tuple[int, ...]:
         """Per-feature values (bucket/category indices) -> bit vector."""
         if len(values) != len(self.features):
@@ -159,19 +171,14 @@ class FeatureSchema:
                 f"expected {len(self.features)} values, got {len(values)}"
             )
         bits: list[int] = []
-        for f, v in zip(self.features, values):
-            if isinstance(f, NumericFeature):
-                if not 0 <= v <= f.bits:
-                    raise DataError(
-                        f"feature {f.name!r}: bucket {v} outside 0..{f.bits}"
-                    )
-                bits.extend([1] * v + [0] * (f.bits - v))
-            else:
-                if not 0 <= v < f.arity:
-                    raise DataError(
-                        f"feature {f.name!r}: unknown category {v!r}"
-                    )
-                bits.extend(1 if i == v else 0 for i in range(f.arity))
+        for f, patterns, v in zip(self.features, self._bit_patterns, values):
+            if not 0 <= v < len(patterns):
+                raise DataError(
+                    f"feature {f.name!r}: bucket {v} outside 0..{f.bits}"
+                    if isinstance(f, NumericFeature)
+                    else f"feature {f.name!r}: unknown category {v!r}"
+                )
+            bits += patterns[v]
         return tuple(bits)
 
 
@@ -197,7 +204,7 @@ def _parse_kv(parts: list[str], lineno: int) -> dict[str, str]:
 
 
 def parse_schema(data: bytes | str) -> FeatureSchema:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     features: list[Feature] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -7,7 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from helpers import input_ref
 
-from lgnsat.netlist import Gate, Netlist
+from lgnsat.netlist import Netlist
 from lgnsat.netlist import OP_FALSE, OP_PASS_A, OP_TRUE
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 from lgnsat.solver import SolverConfig
@@ -23,8 +23,8 @@ def flip_net() -> Netlist:
     """Class follows the one-hot sensitive bit; confidence is always 1."""
     return Netlist(
         2,
-        ((Gate(OP_PASS_A, input_ref(0), input_ref(0)),
-          Gate(OP_PASS_A, input_ref(1), input_ref(1))),),
+        (((OP_PASS_A, input_ref(0), input_ref(0)),
+          (OP_PASS_A, input_ref(1), input_ref(1))),),
         2,
         1,
     )
@@ -40,8 +40,8 @@ def const_net() -> Netlist:
     """Both outputs constant true: scores (1, 1) on every input."""
     return Netlist(
         2,
-        ((Gate(OP_TRUE, input_ref(0), input_ref(0)),
-          Gate(OP_TRUE, input_ref(0), input_ref(0))),),
+        (((OP_TRUE, input_ref(0), input_ref(0)),
+          (OP_TRUE, input_ref(0), input_ref(0))),),
         2,
         1,
     )
@@ -52,8 +52,8 @@ def const_sure_net() -> Netlist:
     """Class-0 block constant true, class-1 block constant false: conf 1."""
     return Netlist(
         2,
-        ((Gate(OP_TRUE, input_ref(0), input_ref(0)),
-          Gate(OP_FALSE, input_ref(0), input_ref(0))),),
+        (((OP_TRUE, input_ref(0), input_ref(0)),
+          (OP_FALSE, input_ref(0), input_ref(0))),),
         2,
         1,
     )

@@ -14,8 +14,11 @@ from a complete input assignment).
 from __future__ import annotations
 
 import itertools
+import re
 import time
 from fractions import Fraction
+
+from lgnsat.errors import NetlistFormatError
 
 from lgnsat.evaluator import (
     COUNTEREXAMPLE,
@@ -70,16 +73,52 @@ def interpret(netlist: Netlist, input_bits) -> list[int]:
         if ref < 0:
             return input_bits[~ref]
         if ref not in memo:
-            g = gates[ref]
-            memo[ref] = NAMED_OPS[g.op](value(g.in_a), value(g.in_b))
+            op, a, b = gates[ref]
+            memo[ref] = NAMED_OPS[op](value(a), value(b))
         return memo[ref]
 
     start = netlist.num_gates - netlist.num_outputs
     out = []
-    for gid in range(start, netlist.num_gates):
-        g = gates[gid]
-        out.append(NAMED_OPS[g.op](value(g.in_a), value(g.in_b)))
+    for op, a, b in gates[start:]:
+        out.append(NAMED_OPS[op](value(a), value(b)))
     return out
+
+
+# -- layer-line parsing oracle ------------------------------------------------
+
+_GATE = r"\(\s*(\d+)\s*,\s*(?:i(\d+)|g(\d+))\s*,\s*(?:i(\d+)|g(\d+))\s*\)"
+_GATE_RE = re.compile(_GATE)
+_LAYER_RE = re.compile(rf"\s*layer\s*(?:{_GATE}\s*)*")
+
+
+def findall_parse_layer_line(lineno: int, line: str) -> tuple:
+    """Reference layer-line parser: the whole-line match, then one findall
+    over the gates it covers and three ``int`` calls per gate. Same errors,
+    lines and columns as ``lgnsat.netlist._parse_layer_line``."""
+    whole = _LAYER_RE.match(line)
+    if whole is None:
+        raise NetlistFormatError(
+            f"expected 'layer ...', got {line.strip()!r}", line=lineno
+        )
+    end = whole.end()
+    gates = tuple([
+        (int(op), ~int(ia) if ia else int(ga), ~int(ib) if ib else int(gb))
+        for op, ia, ga, ib, gb in _GATE_RE.findall(line, 0, end)
+    ])
+    if any(op > 15 for op, _, _ in gates):
+        bad = next(m for m in _GATE_RE.finditer(line, 0, end) if int(m[1]) > 15)
+        raise NetlistFormatError(
+            f"op code {int(bad[1])} outside 0..15", line=lineno, col=bad.start(1) + 1
+        )
+    if end < len(line):
+        raise NetlistFormatError(
+            f"malformed gate near {line.rstrip()[end:end + 20]!r}",
+            line=lineno,
+            col=end + 1,
+        )
+    if not gates:
+        raise NetlistFormatError("layer line with no gates", line=lineno)
+    return gates
 
 
 # -- CNF utilities ------------------------------------------------------------

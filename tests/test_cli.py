@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import shutil
@@ -358,6 +359,19 @@ class TestGenRandomEvalAccuracy:
             role: {"path": str(p), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
             for role, p in paths.items()
         }
+
+    def test_accuracy_accepts_a_csv_byte_order_mark(self, capsys, files, tmp_path):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_bytes(codecs.BOM_UTF8 + b"group,label\n0,0\n0,0\n0,1\n1,1\n1,0\n")
+        code, report = run_cli(
+            capsys, "accuracy", files["flip"], "-s", files["schema"], "--csv", csv_path,
+        )
+        assert code == 0
+        assert report["result"]["accuracy"]["exact"] == "3/5"
+        # The hash is of the bytes read, mark included.
+        assert report["inputs"]["csv"]["sha256"] == hashlib.sha256(
+            csv_path.read_bytes()
+        ).hexdigest()
 
 
 class TestEntryPoint:

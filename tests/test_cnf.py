@@ -13,7 +13,7 @@ from helpers import (
 )
 
 from lgnsat.cnf import FALSE_LIT, TRUE_LIT, CnfBuilder, CnfFormula, to_dimacs
-from lgnsat.netlist import Gate, Netlist, random_netlist
+from lgnsat.netlist import Netlist, random_netlist
 
 
 class TestBuilderBasics:
@@ -129,8 +129,8 @@ class TestEncodeNetwork:
     def test_constant_net_folds_completely(self):
         net = Netlist(
             1,
-            ((Gate(15, input_ref(0), input_ref(0)),
-              Gate(0, input_ref(0), input_ref(0))),),
+            (((15, input_ref(0), input_ref(0)),
+              (0, input_ref(0), input_ref(0))),),
             2,
             1,
         )
@@ -169,10 +169,10 @@ class TestEncodeNetwork:
 
     def test_gate_outside_the_output_cone_is_not_encoded(self):
         i0, i1 = input_ref(0), input_ref(1)
-        live = (Gate(8, i0, i1), Gate(14, i0, i1))
-        outputs = (Gate(6, gate_ref(0), gate_ref(1)), Gate(7, gate_ref(0), gate_ref(1)))
+        live = ((8, i0, i1), (14, i0, i1))
+        outputs = ((6, gate_ref(0), gate_ref(1)), (7, gate_ref(0), gate_ref(1)))
         # The same net with an XOR (g2) that no output reads.
-        dead = Netlist(2, (live + (Gate(6, i0, i1),), outputs), 2, 1)
+        dead = Netlist(2, (live + ((6, i0, i1),), outputs), 2, 1)
         pruned = Netlist(2, (live, outputs), 2, 1)
         assert [entry[0] for entry in dead.program] == [2, 3, 5, 6]
 

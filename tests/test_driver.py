@@ -17,7 +17,7 @@ from lgnsat.evaluator import (
     UNKNOWN,
     predict,
 )
-from lgnsat.netlist import OP_FALSE, Gate, Netlist, random_netlist
+from lgnsat.netlist import OP_FALSE, Netlist, random_netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 from lgnsat.solver import SAT, UNSAT, SolveOutcome, SolverConfig
 
@@ -239,8 +239,8 @@ class TestRechecks:
         # Every output is 0, so the degenerate confidence 1/2 clears 1/4.
         zero_net = Netlist(
             2,
-            ((Gate(OP_FALSE, input_ref(0), input_ref(0)),
-              Gate(OP_FALSE, input_ref(0), input_ref(0))),),
+            (((OP_FALSE, input_ref(0), input_ref(0)),
+              (OP_FALSE, input_ref(0), input_ref(0))),),
             2,
             1,
         )

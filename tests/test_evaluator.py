@@ -30,7 +30,7 @@ from lgnsat.evaluator import (
     predict_batch,
     winner_of,
 )
-from lgnsat.netlist import Gate, Netlist, random_netlist
+from lgnsat.netlist import Netlist, random_netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 
 
@@ -39,7 +39,7 @@ def const_block_net(block_values, num_classes, block_size, width=2) -> Netlist:
     gates = []
     for score in block_values:
         gates.extend(
-            Gate(15 if k < score else 0, input_ref(0), input_ref(0))
+            (15 if k < score else 0, input_ref(0), input_ref(0))
             for k in range(block_size)
         )
     return Netlist(width, (tuple(gates),), num_classes, block_size)
@@ -52,7 +52,7 @@ class TestForward:
             assert forward(net, list(bits)) == [1, 1]
 
     def test_xor_duplicated(self):
-        xor = Gate(6, input_ref(0), input_ref(1))
+        xor = (6, input_ref(0), input_ref(1))
         net = Netlist(2, ((xor, xor),), 2, 1)
         assert forward(net, [1, 0]) == [1, 1]
         assert forward(net, [1, 1]) == [0, 0]
@@ -121,9 +121,9 @@ def reference_prediction(net: Netlist, bits):
 
 def all_ops_net(num_classes: int, block_size: int) -> Netlist:
     """Every op code in the first layer, and again in the output layer."""
-    first = tuple(Gate(op, input_ref(op % 4), input_ref((op + 1) % 4)) for op in range(16))
+    first = tuple((op, input_ref(op % 4), input_ref((op + 1) % 4)) for op in range(16))
     out = tuple(
-        Gate(k % 16, gate_ref(k % 16), gate_ref((5 * k + 3) % 16))
+        (k % 16, gate_ref(k % 16), gate_ref((5 * k + 3) % 16))
         for k in range(num_classes * block_size)
     )
     return Netlist(4, (first, out), num_classes, block_size)
@@ -159,8 +159,8 @@ class TestBatchEvaluation:
     def test_all_zero_and_ties(self):
         # Outputs copy the inputs, one output per class: 00 is all-zero,
         # 11 is a tie, and both go to class 0 with confidence 1/2.
-        net = Netlist(2, ((Gate(12, input_ref(0), input_ref(0)),
-                           Gate(12, input_ref(1), input_ref(1))),), 2, 1)
+        net = Netlist(2, (((12, input_ref(0), input_ref(0)),
+                           (12, input_ref(1), input_ref(1))),), 2, 1)
         rows = [(0, 0), (1, 1), (0, 1), (1, 0)] * 17
         got = [(cls, s.scores, conf) for cls, s, conf in predict_batch(net, rows)]
         expected = {

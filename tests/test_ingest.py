@@ -8,7 +8,7 @@ from helpers import input_ref
 from lgnsat.errors import DataError
 from lgnsat.evaluator import predict
 from lgnsat.ingest import Dataset, accuracy, encode_row, load_csv
-from lgnsat.netlist import Gate, Netlist
+from lgnsat.netlist import Netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 
 
@@ -182,12 +182,58 @@ class TestLoadCsv:
             Dataset(small_schema(), rows)
 
 
+class TestLoadCsvLayout:
+    """How ``load_csv`` reads the CSV layout, row by row: these pin the
+    behaviour ``csv.DictReader`` gave, so the reader can change under them."""
+
+    def test_duplicated_header_column_last_wins(self):
+        data = load_csv(small_schema(), "v,s,v,label\n0,0,1,0\n")
+        assert data.rows == ((("1", "0"), 0),)
+
+    def test_short_row_reports_the_missing_feature(self):
+        with pytest.raises(DataError, match=r"^row 2: missing value for 's'$"):
+            load_csv(small_schema(), "v,s,label\n0\n")
+
+    def test_short_row_without_label(self):
+        with pytest.raises(DataError, match=r"^row 2: non-integer label None$"):
+            load_csv(small_schema(), "v,s,label\n0,1\n")
+
+    def test_extra_trailing_cells_ignored(self):
+        data = load_csv(small_schema(), "v,s,label\n0,1,0,9,x\n")
+        assert data.rows == ((("0", "1"), 0),)
+
+    def test_blank_line_skipped(self):
+        # Rows are numbered by record, so a skipped blank line takes no number.
+        data = load_csv(small_schema(), "v,s,label\n0,0,0\n\n1,1,1\n")
+        assert data.rows == ((("0", "0"), 0), (("1", "1"), 1))
+        with pytest.raises(DataError, match=r"^row 3: "):
+            load_csv(small_schema(), "v,s,label\n0,0,0\n\n9,0,1\n")
+
+    def test_line_of_spaces_is_a_row_of_missing_values(self):
+        with pytest.raises(DataError, match=r"^row 3: missing value for 'v'$"):
+            load_csv(small_schema(), "v,s,label\n0,0,0\n   \n")
+
+    def test_quoted_cell_with_comma(self):
+        data = load_csv(small_schema(), 'v,note,s,label\n0,"a, b",1,1\n')
+        assert data.rows == ((("0", "1"), 1),)
+        with pytest.raises(DataError, match=r"^row 2: feature 'v': non-numeric value '1,5'$"):
+            load_csv(small_schema(), 'v,s,label\n"1,5",0,0\n')
+
+    def test_empty_label(self):
+        with pytest.raises(DataError, match=r"^row 2: non-integer label ''$"):
+            load_csv(small_schema(), "v,s,label\n0,0,\n")
+
+    def test_empty_text_has_no_header(self):
+        with pytest.raises(DataError, match="no header row"):
+            load_csv(small_schema(), "")
+
+
 class TestAccuracy:
     def constant_class0_net(self, width):
         return Netlist(
             width,
-            ((Gate(15, input_ref(0), input_ref(0)),
-              Gate(0, input_ref(0), input_ref(0))),),
+            (((15, input_ref(0), input_ref(0)),
+              (0, input_ref(0), input_ref(0))),),
             2,
             1,
         )

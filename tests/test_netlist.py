@@ -1,15 +1,18 @@
+import codecs
+import gc
 import hashlib
 import itertools
+import random
+import re
 
 import pytest
 
-from helpers import NAMED_OPS, gate_ref, input_ref
+from helpers import NAMED_OPS, findall_parse_layer_line, gate_ref, input_ref
 
 from lgnsat.cnf import CnfBuilder
 from lgnsat.errors import InvalidNetlistError, NetlistFormatError
 from lgnsat.evaluator import forward, predict
 from lgnsat.netlist import (
-    Gate,
     Netlist,
     gate_truth,
     parse_netlist,
@@ -17,14 +20,21 @@ from lgnsat.netlist import (
     serialize_netlist,
     validate,
 )
-from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
+from lgnsat.netlist import _parse_layer_line
+from lgnsat.schema import (
+    CategoricalFeature,
+    FeatureSchema,
+    NumericFeature,
+    parse_schema,
+    serialize_schema,
+)
 
 
 def minimal_net() -> Netlist:
     return Netlist(
         2,
-        ((Gate(8, input_ref(0), input_ref(1)),
-          Gate(14, input_ref(0), input_ref(1))),),
+        (((8, input_ref(0), input_ref(1)),
+          (14, input_ref(0), input_ref(1))),),
         2,
         1,
     )
@@ -53,7 +63,7 @@ class TestValidate:
     def test_output_count_mismatch(self):
         net = Netlist(
             2,
-            (tuple(Gate(8, input_ref(0), input_ref(1)) for _ in range(5)),),
+            (tuple((8, input_ref(0), input_ref(1)) for _ in range(5)),),
             2,
             3,
         )
@@ -64,7 +74,7 @@ class TestValidate:
     def test_same_layer_reference(self):
         net = Netlist(
             1,
-            ((Gate(8, input_ref(0), gate_ref(0)),),),
+            (((8, input_ref(0), gate_ref(0)),),),
             2,
             1,
         )
@@ -74,7 +84,7 @@ class TestValidate:
     def test_input_bit_range_edges(self):
         net = Netlist(
             2,
-            ((Gate(8, input_ref(1), input_ref(2)), Gate(14, input_ref(0), input_ref(1))),),
+            (((8, input_ref(1), input_ref(2)), (14, input_ref(0), input_ref(1))),),
             2,
             1,
         )
@@ -88,10 +98,10 @@ class TestValidate:
         net = Netlist(
             1,
             (
-                (Gate(12, input_ref(0), input_ref(0)),),
-                (Gate(12, input_ref(0), input_ref(0)),),
-                (Gate(8, gate_ref(0), input_ref(0)),
-                 Gate(8, gate_ref(0), gate_ref(1))),
+                ((12, input_ref(0), input_ref(0)),),
+                ((12, input_ref(0), input_ref(0)),),
+                ((8, gate_ref(0), input_ref(0)),
+                 (8, gate_ref(0), gate_ref(1))),
             ),
             2,
             1,
@@ -119,7 +129,7 @@ class TestInvalidNetlistRaises:
     def test_predict_forward_and_encoder(self, bad_ref):
         net = Netlist(
             2,
-            ((Gate(8, bad_ref, input_ref(1)), Gate(14, input_ref(0), input_ref(1))),),
+            (((8, bad_ref, input_ref(1)), (14, input_ref(0), input_ref(1))),),
             2,
             1,
         )
@@ -169,6 +179,10 @@ class TestFileFormat:
         with pytest.raises(NetlistFormatError) as exc:
             parse_netlist(text)
         assert exc.value.line == 5
+
+    def test_byte_order_mark_accepted(self):
+        data = serialize_netlist(minimal_net())
+        assert parse_netlist(codecs.BOM_UTF8 + data) == minimal_net()
 
     def test_comments_and_blanks_ignored(self):
         data = serialize_netlist(minimal_net()).decode()
@@ -226,6 +240,102 @@ class TestFormatErrorPosition:
             parse_netlist(HEADER + "layer junk (16, i0, i1)\n")
 
 
+def _drop(rng, line):
+    i = rng.randrange(len(line))
+    return line[:i] + line[i + 1:]
+
+
+def _duplicate(rng, line):
+    i = rng.randrange(len(line))
+    return line[:i] + line[i] + line[i:]
+
+
+def _swap(rng, line):
+    i = rng.randrange(len(line) - 1)
+    return line[:i] + line[i + 1] + line[i] + line[i + 2:]
+
+
+def _big_op(rng, line):
+    ops = list(re.finditer(r"\((\s*)\d+", line))
+    if not ops:
+        return line
+    m = rng.choice(ops)
+    return line[:m.start()] + f"({m[1]}{rng.randrange(16, 300)}" + line[m.end():]
+
+
+def _swap_kind(rng, line):
+    refs = [i for i, c in enumerate(line) if c in "ig"]
+    if not refs:
+        return line
+    i = rng.choice(refs)
+    return line[:i] + ("g" if line[i] == "i" else "i") + line[i + 1:]
+
+
+def _whitespace(rng, line):
+    i = rng.randrange(len(line) + 1)
+    return line[:i] + rng.choice(["\t", "  ", " \t ", "\u00a0"]) + line[i:]
+
+
+def _wide_digit(rng, line):
+    digits = [i for i, c in enumerate(line) if c.isascii() and c.isdigit()]
+    if not digits:
+        return line
+    i = rng.choice(digits)
+    return line[:i] + chr(0x0660 + int(line[i])) + line[i + 1:]  # Arabic-Indic
+
+
+_DAMAGES = (_drop, _duplicate, _swap, _big_op, _swap_kind, _whitespace, _wide_digit)
+
+
+def _outcome(parse, line):
+    try:
+        return parse(5, line)
+    except NetlistFormatError as exc:
+        return type(exc), str(exc), exc.line, exc.col
+
+
+class TestLayerParserParity:
+    """The tokenizing layer parser against the findall parser it replaced,
+    on seeded damaged layer lines: the same gates, or the same error type,
+    message, line and column."""
+
+    def test_damaged_lines_match_the_findall_parser(self):
+        base = [
+            line
+            for seed in range(8)
+            for line in serialize_netlist(
+                random_netlist(12, [6, 5, 4], 2, 2, seed=seed)
+            ).decode().splitlines()
+            if line.startswith("layer")
+        ]
+        rng = random.Random(2505)
+        parsed = 0
+        for _ in range(3000):
+            line = rng.choice(base)
+            if rng.random() < 0.2:
+                line = rng.choice([" ", "\t", "  \t"]) + line
+            for _ in range(rng.randint(1, 3)):
+                line = rng.choice(_DAMAGES)(rng, line)
+            expected = _outcome(findall_parse_layer_line, line)
+            assert _outcome(_parse_layer_line, line) == expected, line
+            parsed += isinstance(expected[0], tuple)
+        assert 300 < parsed < 2700  # both the gate and the error paths ran
+
+
+class TestGatesUntracked:
+    """Gates are exact int tuples, which the cyclic collector untracks; a
+    tuple subclass or dataclass gate would make every full collection walk
+    each gate of every netlist alive."""
+
+    def test_collector_untracks_gates_and_program(self):
+        net = random_netlist(12, [40, 30, 20], 2, 10, seed=7)
+        parsed = parse_netlist(serialize_netlist(net))
+        gc.collect()
+        for n in (net, parsed):
+            assert not any(gc.is_tracked(g) for layer in n.layers for g in layer)
+        assert not any(gc.is_tracked(entry) for entry in parsed.program)
+
+
 class TestPinnedBytes:
     """Serialized bytes and compiled programs of two seeded nets, pinned so
     that neither the generator, the file format nor the compile can drift."""
@@ -275,8 +385,8 @@ class TestRandomNetlist:
         net = random_netlist(4, [3, 2, 2], 2, 1, seed=5)
         starts = [0, *itertools.accumulate(len(layer) for layer in net.layers)]
         for li, layer in enumerate(net.layers):
-            for gate in layer:
-                for ref in (gate.in_a, gate.in_b):
+            for _, a, b in layer:
+                for ref in (a, b):
                     if li == 0:
                         assert -4 <= ref < 0
                     else:
@@ -291,8 +401,6 @@ class TestRandomNetlist:
 
 class TestSchemaRoundTrip:
     def test_schema_file_round_trip(self):
-        from lgnsat.schema import parse_schema, serialize_schema
-
         schema = FeatureSchema(
             (
                 NumericFeature("age", 4, 18.0, 90.0),
@@ -304,3 +412,7 @@ class TestSchemaRoundTrip:
         data = serialize_schema(schema)
         assert parse_schema(data) == schema
         assert serialize_schema(parse_schema(data)) == data
+
+    def test_byte_order_mark_accepted(self):
+        schema = FeatureSchema((NumericFeature("age", 4, 18.0, 90.0), CategoricalFeature("g", 2)))
+        assert parse_schema(codecs.BOM_UTF8 + serialize_schema(schema)) == schema
