@@ -9,6 +9,7 @@ progress on stderr. Exit codes are a total function of the outcome:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -320,6 +321,7 @@ def _add_query_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=int, default=0, help="numeric tolerance (bit flips)")
 
 
+@functools.cache  # the parser depends on no input, so build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgnsat",

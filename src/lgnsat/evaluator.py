@@ -167,23 +167,19 @@ def confidence_of(scores: ScoreVector, num_classes: int) -> Fraction:
     return Fraction(scores.scores[winner_of(scores)], scores.total)
 
 
-def predict_batch(netlist: Netlist, rows) -> list[tuple[int, ScoreVector, Fraction]]:
-    """``predict`` for every row of a list, evaluated together bit-sliced."""
+def class_scores(netlist: Netlist, rows) -> list[tuple[int, ...]]:
+    """Each row's class-block popcounts, all rows evaluated bit-sliced."""
     if not rows:
         return []
-    words = _output_words(netlist, rows)
-    L = netlist.block_size
-    per_class = [
-        _popcounts(words[c * L:(c + 1) * L], len(rows))
-        for c in range(netlist.num_classes)
-    ]
-    results = []
-    for row_scores in zip(*per_class):
-        scores = ScoreVector(row_scores)
-        results.append(
-            (winner_of(scores), scores, confidence_of(scores, netlist.num_classes))
-        )
-    return results
+    words, L = _output_words(netlist, rows), netlist.block_size
+    blocks = (words[c * L:(c + 1) * L] for c in range(netlist.num_classes))
+    return list(zip(*(_popcounts(block, len(rows)) for block in blocks)))
+
+
+def predict_batch(netlist: Netlist, rows) -> list[tuple[int, ScoreVector, Fraction]]:
+    """``predict`` for every row of a list, evaluated together bit-sliced."""
+    scores = map(ScoreVector, class_scores(netlist, rows))
+    return [(winner_of(s), s, confidence_of(s, netlist.num_classes)) for s in scores]
 
 
 def predict(netlist: Netlist, input_bits) -> tuple[int, ScoreVector, Fraction]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DataError
-from .evaluator import predict_batch
+from .evaluator import class_scores
 from .netlist import Netlist
 from .schema import CategoricalFeature, FeatureSchema, NumericFeature
 
@@ -22,19 +22,20 @@ from .schema import CategoricalFeature, FeatureSchema, NumericFeature
 class Dataset:
     """Parsed rows: per-row raw feature values plus a class label in
     0..C-1 (labels are 0-based, like every other index in this toolkit),
-    and each row's input bits, encoded once here.
-
-    Encoding errors carry the row's number as a line of a CSV file with a
-    header line, the first row being row 2, as ``load_csv``'s errors do.
+    the file line each row starts on, by default 2, 3, ..., and each row's
+    input bits, encoded once here. Row errors name the row by that line.
     """
 
     schema: FeatureSchema
     rows: tuple[tuple[tuple, int], ...]
+    lines: tuple[int, ...] = ()
     bits: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
+        if not self.lines:
+            object.__setattr__(self, "lines", tuple(range(2, len(self.rows) + 2)))
         bits = []
-        for lineno, (values, _) in enumerate(self.rows, start=2):
+        for lineno, (values, _) in zip(self.lines, self.rows, strict=True):
             try:
                 bits.append(encode_row(self.schema, values))
             except DataError as exc:
@@ -78,7 +79,7 @@ def load_csv(schema: FeatureSchema, text: str, label_col: str = "label") -> Data
     feature name plus the label column. Callers read the file themselves,
     so the bytes they hash are the bytes parsed. Blank lines are skipped,
     cells past the header ignored, and a repeated header name reads its
-    last column."""
+    last column. Rows are numbered by the file line they start on."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
@@ -91,8 +92,12 @@ def load_csv(schema: FeatureSchema, text: str, label_col: str = "label") -> Data
         raise DataError(f"CSV is missing label column {label_col!r}")
     cells = [(f.name, column[f.name]) for f in schema.features]
     label_at = column[label_col]
-    rows = []
-    for lineno, record in enumerate(filter(None, reader), start=2):
+    rows, lines = [], []
+    next_line = reader.line_num + 1
+    for record in reader:
+        lineno, next_line = next_line, reader.line_num + 1
+        if not record:  # a blank line
+            continue
         values = []
         for name, i in cells:
             cell = record[i].strip() if i < len(record) else ""
@@ -105,7 +110,8 @@ def load_csv(schema: FeatureSchema, text: str, label_col: str = "label") -> Data
         except (TypeError, ValueError):
             raise DataError(f"row {lineno}: non-integer label {label!r}")
         rows.append((tuple(values), label))
-    return Dataset(schema, tuple(rows))
+        lines.append(lineno)
+    return Dataset(schema, tuple(rows), tuple(lines))
 
 
 def accuracy(netlist: Netlist, dataset: Dataset) -> Fraction:
@@ -118,13 +124,14 @@ def accuracy(netlist: Netlist, dataset: Dataset) -> Fraction:
         )
     if not dataset.rows:
         raise DataError("dataset has no rows")
-    for _, label in dataset.rows:
+    for lineno, (_, label) in zip(dataset.lines, dataset.rows):
         if not 0 <= label < netlist.num_classes:
             raise DataError(
-                f"label {label} outside 0..{netlist.num_classes - 1}"
+                f"row {lineno}: label {label} outside 0..{netlist.num_classes - 1}"
             )
-    predictions = predict_batch(netlist, dataset.bits)
+    # The winner is the first class with the top score, as in winner_of.
     hits = sum(
-        cls == label for (cls, _, _), (_, label) in zip(predictions, dataset.rows)
+        s.index(max(s)) == label
+        for s, (_, label) in zip(class_scores(netlist, dataset.bits), dataset.rows)
     )
     return Fraction(hits, len(dataset.rows))

@@ -24,6 +24,7 @@ bit i is node i and gate g is node ``input_width + g``.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from dataclasses import dataclass
@@ -191,15 +192,17 @@ def check_valid(netlist: Netlist) -> None:
 # serialized form contains neither.
 # ---------------------------------------------------------------------------
 
-_GATE = r"\(\s*(\d+)\s*,\s*(?:i(\d+)|g(\d+))\s*,\s*(?:i(\d+)|g(\d+))\s*\)"
-_GATE_RE = re.compile(_GATE)
 # A whole layer line, its gates in group 1. A match that stops short of the
-# end of the line stops at the first token that is not a gate.
-_LAYER_RE = re.compile(rf"\s*layer(\s*(?:{_GATE}\s*)*)")
-# Matched gate text holds only gates and whitespace. Blanking punctuation
-# and ref kinds leaves three numbers per gate. Keeping only "(", "i" and
-# "g" leaves one kind byte per number: 1 for an input ref, else 0.
-_NUMBERS = str.maketrans("(),ig", "     ")
+# end of the line stops at the first token that is not a gate. Nothing is
+# captured inside the repeat, which keeps the match cheap; in the matched
+# text each "(" starts a gate, so _OP_RE finds every op code.
+_LAYER_RE = re.compile(r"\s*layer((?:\s*\(\s*\d+\s*,\s*[ig]\d+\s*,\s*[ig]\d+\s*\))*)\s*")
+_OP_RE = re.compile(r"\(\s*(\d+)")
+# Matched gate text holds only gates and whitespace. Blanking "(" and ref
+# kinds and turning ")" into "," leaves three comma-ended numbers per gate.
+# Keeping only "(", "i" and "g" leaves one kind byte per number: 1 for an
+# input ref, else 0.
+_NUMBERS = str.maketrans("()ig", " ,  ")
 _KINDS = bytes.maketrans(b"(ig", b"\x00\x01\x00")
 _NOT_KINDS = bytes(c for c in range(256) if c not in b"(ig")
 _MAGIC = "lgn 1"
@@ -249,12 +252,16 @@ def _parse_layer_line(lineno: int, line: str) -> tuple[Gate, ...]:
         )
     end = whole.end()
     body = whole[1]
-    # n ^ -kind: the number n of an input ref becomes its ref ~n.
-    nums = list(map(xor, map(int, body.translate(_NUMBERS).split()),
-                    map(neg, body.encode().translate(_KINDS, _NOT_KINDS))))
+    numbers = body.translate(_NUMBERS)[:-1]
+    try:  # json reads in C; int() also takes "08", non-ASCII digits and spaces
+        nums = json.loads(f"[{numbers}]")
+    except ValueError:
+        nums = list(map(int, numbers.split(",")))
+    if "i" in body:  # n ^ -kind: the number n of an input ref becomes ~n
+        nums = list(map(xor, nums, map(neg, body.encode().translate(_KINDS, _NOT_KINDS))))
     gates = tuple(zip(nums[0::3], nums[1::3], nums[2::3]))
     if gates and max(nums[0::3]) > 15:
-        bad = next(m for m in _GATE_RE.finditer(line, 0, end) if int(m[1]) > 15)
+        bad = next(m for m in _OP_RE.finditer(line, 0, end) if int(m[1]) > 15)
         raise NetlistFormatError(
             f"op code {int(bad[1])} outside 0..15", line=lineno, col=bad.start(1) + 1
         )

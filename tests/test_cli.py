@@ -1,6 +1,7 @@
 import codecs
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from lgnsat.cli import main
+import lgnsat
+from lgnsat import cli
+from lgnsat.cli import build_parser, main
 from lgnsat.netlist import serialize_netlist
 from lgnsat.schema import serialize_schema
 from lgnsat.solver import BUILTIN_SOLVER, find_solver
@@ -387,3 +390,61 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["ok"] is True
+
+    def test_python_m_lgnsat_matches_in_process(self, capsys, files, tmp_path):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("group,label\n0,0\n0,0\n0,1\n1,1\n1,0\n")
+        argv = ["accuracy", files["flip"], "-s", files["schema"], "--csv", csv_path]
+        code, report = run_cli(capsys, *argv)
+        src = str(Path(lgnsat.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "lgnsat", *map(str, argv)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, code) == (0, 0)
+        assert json.loads(proc.stdout) == report
+        assert proc.stderr == "accuracy: 0.6000 over 5 rows\n"
+
+
+class TestCachedParser:
+    """``build_parser`` runs once per process; the calls that share its
+    parser answer as calls with a parser of their own do."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_match_a_fresh_parser(self, capsys, monkeypatch, files, tmp_path):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("group,label\n0,0\n0,0\n0,1\n1,1\n1,0\n")
+        bad_net = tmp_path / "bad.lgn"
+        bad_net.write_text("lgn 2\n")
+        net, schema, out = files["flip"], files["schema"], tmp_path / "q.cnf"
+        calls = [
+            ["accuracy", net, "-s", schema, "--csv", csv_path],
+            ["encode", net, "-s", schema, "--mode", "fair", "--kappa", "1/2", "-o", out],
+            ["validate", net, "-s", schema],
+            ["accuracy", net, "-s", schema],  # no --csv: a usage error
+            ["validate", bad_net],
+            ["encode", net, "-s", schema, "--mode", "robust", "--eps", "1",
+             "--kappa", "3/4", "-o", out],
+            ["accuracy", net, "-s", schema, "--csv", csv_path, "--label-col", "group"],
+            ["validate", files["const"]],
+        ]
+
+        def run_all():
+            results = []
+            for argv in calls:
+                try:
+                    code = main([str(a) for a in argv])
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results
+
+        cached = run_all()
+        assert run_all() == cached
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        assert run_all() == cached
+        assert [code for code, _, _ in cached] == [0, 0, 0, 2, 2, 0, 0, 0]
+        assert "the following arguments are required: --csv" in cached[3][2]

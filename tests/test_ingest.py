@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,10 @@ class TestLoadCsv:
         rows = ((("0", "0"), 0), (("9", "0"), 1))
         with pytest.raises(DataError, match="row 3: .*outside"):
             Dataset(small_schema(), rows)
+        with pytest.raises(DataError, match="row 9: .*outside"):
+            Dataset(small_schema(), rows, (5, 9))
+        with pytest.raises(ValueError):
+            Dataset(small_schema(), rows, (5,))
 
 
 class TestLoadCsvLayout:
@@ -203,11 +208,23 @@ class TestLoadCsvLayout:
         assert data.rows == ((("0", "1"), 0),)
 
     def test_blank_line_skipped(self):
-        # Rows are numbered by record, so a skipped blank line takes no number.
+        # Rows are numbered by file line, so a skipped blank line keeps its number.
         data = load_csv(small_schema(), "v,s,label\n0,0,0\n\n1,1,1\n")
         assert data.rows == ((("0", "0"), 0), (("1", "1"), 1))
-        with pytest.raises(DataError, match=r"^row 3: "):
+        assert data.lines == (2, 4)
+        with pytest.raises(DataError, match=r"^row 4: "):
             load_csv(small_schema(), "v,s,label\n0,0,0\n\n9,0,1\n")
+
+    def test_quoted_cell_spanning_lines(self):
+        # A row is numbered by the line its record starts on.
+        text = 'v,note,s,label\n0,"a\nb",1,1\n0,x,0,0\n'
+        assert load_csv(small_schema(), text).lines == (2, 4)
+        with pytest.raises(DataError, match=r"^row 4: feature 'v'"):
+            load_csv(small_schema(), 'v,note,s,label\n0,"a\nb",1,1\n9,x,0,0\n')
+        with pytest.raises(DataError, match=r"^row 3: feature 'v'"):
+            load_csv(small_schema(), 'v,note,s,label\n0,x,0,0\n9,"a\n\nb",1,1\n')
+        with pytest.raises(DataError, match=r"^row 4: non-integer label 'x'$"):
+            load_csv(small_schema(), 'v,note,s,label\n0,"a\nb",1,1\n0,y,0,x\n')
 
     def test_line_of_spaces_is_a_row_of_missing_values(self):
         with pytest.raises(DataError, match=r"^row 3: missing value for 'v'$"):
@@ -258,7 +275,13 @@ class TestAccuracy:
     def test_label_range_checked(self):
         schema = small_schema()
         data = Dataset(schema, ((("0", "0"), 2),))
-        with pytest.raises(DataError, match="label"):
+        with pytest.raises(DataError, match=r"^row 2: label 2 outside 0\.\.1$"):
+            accuracy(self.constant_class0_net(schema.width), data)
+
+    def test_label_error_names_the_file_line(self):
+        schema = small_schema()
+        data = load_csv(schema, "v,s,label\n0,0,0\n\n0,0,1\n\n1,1,5\n")
+        with pytest.raises(DataError, match=r"^row 6: label 5 outside 0\.\.1$"):
             accuracy(self.constant_class0_net(schema.width), data)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -277,6 +300,36 @@ class TestAccuracy:
             for values, label in rows
         )
         assert accuracy(net, Dataset(schema, rows)) == Fraction(hits, len(rows))
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_ties_and_all_zero_outputs_agree_with_predict(self, num_classes):
+        from lgnsat.netlist import random_netlist
+
+        schema = small_schema()
+        rng = random.Random(num_classes)
+        rows = tuple(
+            ((str(rng.randrange(3)), str(rng.randrange(2))), rng.randrange(num_classes))
+            for _ in range(80)
+        )
+        zero = Netlist(
+            schema.width, (((0, input_ref(0), input_ref(1)),) * (2 * num_classes),),
+            num_classes, 2,
+        )
+        nets = [zero] + [
+            random_netlist(schema.width, [6, 2 * num_classes], num_classes, 2, seed=s)
+            for s in range(8)
+        ]
+        tie_winners = Counter()  # nonzero top scores held by two or more classes
+        for net in nets:
+            predictions = [predict(net, encode_row(schema, v)) for v, _ in rows]
+            hits = sum(p[0] == label for p, (_, label) in zip(predictions, rows))
+            assert accuracy(net, Dataset(schema, rows)) == Fraction(hits, len(rows))
+            for cls, scores, _ in predictions:
+                top = max(scores.scores)
+                tie_winners[cls] += top > 0 and scores.scores.count(top) > 1
+        zero_hits = sum(label == 0 for _, label in rows)
+        assert accuracy(zero, Dataset(schema, rows)) == Fraction(zero_hits, len(rows))
+        assert tie_winners[0] > 0 and (num_classes == 2 or tie_winners[1] > 0)
 
     def test_uses_the_bits_load_csv_encoded(self, monkeypatch):
         import lgnsat.ingest as ingest

@@ -321,6 +321,22 @@ class TestLayerParserParity:
             parsed += isinstance(expected[0], tuple)
         assert 300 < parsed < 2700  # both the gate and the error paths ran
 
+    @pytest.mark.parametrize("line, gates", [
+        ("layer (08, i01, g002)", ((8, ~1, 2),)),  # leading zeros
+        ("layer (\u0663, i\u0664\u0661, g5) (1, g0, i2)",  # Arabic-Indic digits
+         ((3, ~41, 5), (1, 0, ~2))),
+        ("layer (3,\u00a0i4, g5)\u2003(1, g0, i2)\u00a0",  # non-ASCII whitespace
+         ((3, ~4, 5), (1, 0, ~2))),
+        ("layer (1, g0, i2) (1\u0666, i4, g5)", None),  # op 16 in two scripts
+    ])
+    def test_numbers_json_does_not_read(self, line, gates):
+        outcome = _outcome(_parse_layer_line, line)
+        assert outcome == _outcome(findall_parse_layer_line, line)
+        if gates is None:
+            assert outcome[1:] == ("line 5, col 20: op code 16 outside 0..15", 5, 20)
+        else:
+            assert outcome == gates
+
 
 class TestGatesUntracked:
     """Gates are exact int tuples, which the cyclic collector untracks; a
