@@ -19,7 +19,9 @@ merges the already sorted blocks instead of sorting all outputs again. A
 merge network depends only on its size, so each size is traced once into a
 comparator program that every later merge of that size runs as a flat loop.
 
-DIMACS is written with one format string for the whole formula.
+Clauses are kept as one flat DIMACS literal stream, each clause's literals
+followed by 0, the layout of a solver's clause arena. Writing DIMACS is then
+one format pass over the stream plus two byte replaces that end the lines.
 """
 
 from __future__ import annotations
@@ -27,44 +29,72 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
-from itertools import chain
 
 from .netlist import Netlist
 
 Lit = int
-Clause = tuple[Lit, ...]
 
 TRUE_LIT: Lit = 1
 FALSE_LIT: Lit = -1
 
 
+class Clauses:
+    """Clauses as one flat stream: each clause's literals, then 0.
+
+    ``lits`` is a list while a builder appends to it and a tuple in a
+    finished formula; ``count`` is the number of clauses. Iterating yields
+    each clause as a tuple of literals."""
+
+    __slots__ = ("lits", "count")
+
+    def __init__(self, lits, count: int):
+        self.lits = lits
+        self.count = count
+
+    def extend(self, lits, count: int) -> None:
+        """Append ``count`` clauses, given as stream entries."""
+        self.lits += lits
+        self.count += count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        lits, start = self.lits, 0
+        for _ in range(self.count):
+            end = lits.index(0, start)
+            yield tuple(lits[start:end])
+            start = end + 1
+
+
 @dataclass(frozen=True)
 class CnfFormula:
-    """Immutable finished formula; shareable across threads."""
+    """Immutable finished formula; shareable across threads.
+
+    ``clauses`` is a ``Clauses`` stream; any other iterable of clauses
+    given here is flattened into one."""
 
     num_vars: int
-    clauses: tuple[Clause, ...]
+    clauses: Clauses
 
-
-class _ClauseFormats(dict):
-    """``"%d " * n + "0\\n"`` for each clause length n, made on first use."""
-
-    def __missing__(self, n: int) -> str:
-        fmt = self[n] = "%d " * n + "0\n"
-        return fmt
+    def __post_init__(self):
+        if not isinstance(self.clauses, Clauses):
+            clauses = tuple(self.clauses)
+            lits = tuple(lit for clause in clauses for lit in (*clause, 0))
+            object.__setattr__(self, "clauses", Clauses(lits, len(clauses)))
 
 
 def to_dimacs(formula: CnfFormula) -> bytes:
     """Standard DIMACS CNF bytes; deterministic for a given formula.
 
-    The header and one ``"%d ... 0\\n"`` format per clause are joined into
-    a single format string, applied once to all literals in order, so no
-    clause is formatted on its own."""
-    clauses = formula.clauses
-    fmt = f"p cnf {formula.num_vars} {len(clauses)}\n" + "".join(
-        map(_ClauseFormats().__getitem__, map(len, clauses))
-    )
-    return (fmt % tuple(chain.from_iterable(clauses))).encode("ascii")
+    One format pass writes every entry of the stream followed by a space.
+    Each " 0 " then ends its clause's line. An empty clause's 0 has no
+    space before it, since the match before took that space, so once the
+    header is joined on, each line that starts "0 " is ended too."""
+    lits = formula.clauses.lits
+    body = (b"%d " * len(lits) % tuple(lits)).replace(b" 0 ", b" 0\n")
+    header = b"p cnf %d %d\n" % (formula.num_vars, len(formula.clauses))
+    return (header + body).replace(b"\n0 ", b"\n0\n")
 
 
 _AND, _OR, _XOR, _A, _B, _CONST = range(6)
@@ -97,14 +127,16 @@ class CnfBuilder:
 
     def __init__(self):
         self.num_vars = 1
-        self.clauses: list[Clause] = [(TRUE_LIT,)]
+        self.clauses = Clauses([TRUE_LIT, 0], 1)
 
     def new_var(self) -> Lit:
         self.num_vars += 1
         return self.num_vars
 
     def new_vars(self, n: int) -> list[Lit]:
-        return [self.new_var() for _ in range(n)]
+        first = self.num_vars + 1
+        self.num_vars += n
+        return list(range(first, first + n))
 
     def add_clause(self, lits) -> None:
         """Add one clause, normalized: duplicate literals collapse,
@@ -121,19 +153,16 @@ class CnfBuilder:
             if lit not in seen:
                 seen.append(lit)
         # A clause of only falsified constants is an explicit falsum.
-        self.clauses.append(tuple(seen) if seen else (FALSE_LIT,))
-
-    def add_clauses(self, clause_list) -> None:
-        for c in clause_list:
-            self.add_clause(c)
+        self.clauses.extend((*seen, 0) if seen else (FALSE_LIT, 0), 1)
 
     def build(self) -> CnfFormula:
-        return CnfFormula(self.num_vars, tuple(self.clauses))
+        clauses = self.clauses
+        return CnfFormula(self.num_vars, Clauses(tuple(clauses.lits), clauses.count))
 
     # -- folded connectives -------------------------------------------------
     # Once the folds have run, a and b are distinct non-constant literals
     # with a != -b and o is fresh, so the defining clauses need none of
-    # add_clause's normalisation and are appended directly.
+    # add_clause's normalisation and are appended directly to the stream.
 
     def lit_and(self, a: Lit, b: Lit) -> Lit:
         if a == FALSE_LIT or b == FALSE_LIT or a == -b:
@@ -143,7 +172,7 @@ class CnfBuilder:
         if b == TRUE_LIT or a == b:
             return a
         o = self.new_var()
-        self.clauses += [(-o, a), (-o, b), (o, -a, -b)]
+        self.clauses.extend((-o, a, 0, -o, b, 0, o, -a, -b, 0), 3)
         return o
 
     def lit_or(self, a: Lit, b: Lit) -> Lit:
@@ -154,7 +183,7 @@ class CnfBuilder:
         if b == FALSE_LIT or a == b:
             return a
         o = self.new_var()
-        self.clauses += [(o, -a), (o, -b), (-o, a, b)]
+        self.clauses.extend((o, -a, 0, o, -b, 0, -o, a, b, 0), 3)
         return o
 
     def lit_xor(self, a: Lit, b: Lit) -> Lit:
@@ -171,7 +200,7 @@ class CnfBuilder:
         if a == -b:
             return TRUE_LIT
         o = self.new_var()
-        self.clauses += [(-o, a, b), (-o, -a, -b), (o, -a, b), (o, a, -b)]
+        self.clauses.extend((-o, a, b, 0, -o, -a, -b, 0, o, -a, b, 0, o, a, -b, 0), 4)
         return o
 
     # -- gates and networks --------------------------------------------------
@@ -231,6 +260,7 @@ class CnfBuilder:
         heapq.heapify(heap)
         order = len(heap)
         clauses = self.clauses
+        stream = clauses.lits
         while len(heap) > 1:
             (na, _, a), (nb, _, b) = heapq.heappop(heap), heapq.heappop(heap)
             size = 1 << (max(na, nb) - 1).bit_length()
@@ -258,11 +288,14 @@ class CnfBuilder:
                 else:
                     hi, lo = n + 1, n + 2
                     n = lo
-                    clauses += [
-                        (hi, -p), (hi, -q), (-hi, p, q), (-lo, p), (-lo, q), (lo, -p, -q)
-                    ]
+                    stream += (
+                        hi, -p, 0, hi, -q, 0, -hi, p, q, 0,
+                        -lo, p, 0, -lo, q, 0, lo, -p, -q, 0,
+                    )
                     add(hi)
                     add(lo)
+            # Each comparator that did not fold made 2 variables and 6 clauses.
+            clauses.count += 3 * (n - self.num_vars)
             self.num_vars = n
             merged = [wires[w] for w in outs[2 * size - na - nb:]]
             heapq.heappush(heap, (na + nb, order, merged))

@@ -124,6 +124,14 @@ def findall_parse_layer_line(lineno: int, line: str) -> tuple:
 # -- CNF utilities ------------------------------------------------------------
 
 
+def render_dimacs(num_vars: int, clauses) -> bytes:
+    """Reference DIMACS writer: one line per clause, each written on its
+    own as its literals and a 0, after the header."""
+    lines = [f"p cnf {num_vars} {len(clauses)}\n"]
+    lines += ["".join(f"{lit} " for lit in clause) + "0\n" for clause in clauses]
+    return "".join(lines).encode("ascii")
+
+
 def unit_propagate(clauses, assumptions: dict[int, bool]):
     """Propagate units to fixpoint; returns the extended assignment or None
     on conflict."""

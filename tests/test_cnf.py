@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -10,9 +11,10 @@ from helpers import (
     gate_ref,
     input_ref,
     interpret,
+    render_dimacs,
 )
 
-from lgnsat.cnf import FALSE_LIT, TRUE_LIT, CnfBuilder, CnfFormula, to_dimacs
+from lgnsat.cnf import FALSE_LIT, TRUE_LIT, Clauses, CnfBuilder, CnfFormula, to_dimacs
 from lgnsat.netlist import Netlist, random_netlist
 
 
@@ -20,7 +22,7 @@ class TestBuilderBasics:
     def test_reserved_true(self):
         f = CnfBuilder().build()
         assert f.num_vars == 1
-        assert f.clauses == ((1,),)
+        assert tuple(f.clauses) == ((1,),)
         assert to_dimacs(f) == b"p cnf 1 1\n1 0\n"
 
     def test_dimacs_deterministic(self):
@@ -43,7 +45,7 @@ class TestBuilderBasics:
         b = CnfBuilder()
         x, y = b.new_var(), b.new_var()
         b.add_clause((x, x, y))
-        assert b.clauses[-1] == (x, y)
+        assert tuple(b.clauses)[-1] == (x, y)
 
     def test_constant_literals_simplified(self):
         b = CnfBuilder()
@@ -52,9 +54,9 @@ class TestBuilderBasics:
         b.add_clause((x, TRUE_LIT))       # satisfied, dropped
         assert len(b.clauses) == before
         b.add_clause((x, FALSE_LIT))      # falsified literal removed
-        assert b.clauses[-1] == (x,)
+        assert tuple(b.clauses)[-1] == (x,)
         b.add_clause((FALSE_LIT,))        # explicit falsum survives
-        assert b.clauses[-1] == (FALSE_LIT,)
+        assert tuple(b.clauses)[-1] == (FALSE_LIT,)
 
     def test_no_clause_has_complementary_pair(self):
         b = CnfBuilder()
@@ -102,7 +104,7 @@ class TestEncodeGate:
         b = CnfBuilder()
         a, c = b.new_var(), b.new_var()
         o = b.encode_gate(8, a, c)
-        assert set(b.build().clauses[1:]) == {(-o, a), (-o, c), (o, -a, -c)}
+        assert set(tuple(b.build().clauses)[1:]) == {(-o, a), (-o, c), (o, -a, -c)}
 
     def test_at_most_four_clauses_per_op(self):
         for op in range(16):
@@ -282,7 +284,7 @@ class TestComparator:
             builder.new_vars(2)
         a, b = signs[0] * 2, signs[1] * 3
         assert fast.sort_block([a, b]) == [slow.lit_or(a, b), slow.lit_and(a, b)]
-        assert fast.clauses == slow.clauses
+        assert tuple(fast.clauses) == tuple(slow.clauses)
         assert fast.num_vars == slow.num_vars == 5
 
     @pytest.mark.parametrize("signs", itertools.product((1, -1), repeat=2))
@@ -295,10 +297,11 @@ class TestComparator:
             b.sort_block(pair)
         else:
             getattr(b, connective)(*pair)
-        appended = b.clauses[1:]
-        b.clauses = [(TRUE_LIT,)]
-        b.add_clauses(appended)
-        assert b.clauses[1:] == appended
+        appended = tuple(b.clauses)[1:]
+        b.clauses = Clauses([TRUE_LIT, 0], 1)
+        for clause in appended:
+            b.add_clause(clause)
+        assert tuple(b.clauses)[1:] == appended
 
     def test_folding_unchanged(self):
         b = CnfBuilder()
@@ -309,7 +312,7 @@ class TestComparator:
         assert b.sort_block([-x, -x]) == [-x, -x]
         assert b.sort_block([x, -x]) == [TRUE_LIT, FALSE_LIT]
         assert b.sort_block([TRUE_LIT, FALSE_LIT]) == [TRUE_LIT, FALSE_LIT]
-        assert b.num_vars == 2 and b.clauses == [(TRUE_LIT,)]
+        assert b.num_vars == 2 and list(b.clauses) == [(TRUE_LIT,)]
 
 
 def _mixed_literals(rng: random.Random, n: int, num_vars: int) -> list[int]:
@@ -332,7 +335,7 @@ class TestSortBlockMatchesOracle:
         oracle = OracleSorter(num_vars)
         assert b.sort_block(lits, run=run) == oracle.sort(lits, run=run)
         assert b.num_vars == oracle.num_vars
-        assert b.clauses[1:] == oracle.clauses
+        assert list(b.clauses)[1:] == oracle.clauses
 
     @pytest.mark.parametrize("run", (1, 2, 3))
     def test_mixed_inputs(self, run):
@@ -363,19 +366,37 @@ class TestDimacs:
         assert to_dimacs(b.build()) == b"p cnf 3 4\n1 0\n2 -3 0\n-2 0\n-1 0\n"
 
     def test_matches_one_join_per_clause(self):
+        # The stream writer ends lines by replacing " 0 " and, for empty
+        # clauses, "\n0 ": literals whose digits hold 0 and runs of empty
+        # clauses are the cases that could fool it.
         rng = random.Random(11)
-        for _ in range(4):
-            clauses = tuple(
-                tuple(
-                    rng.choice((-1, 1)) * rng.randint(1, 10**6)
-                    for _ in range(rng.randint(1, 40))
-                )
-                for _ in range(500)
+
+        def clause(size):
+            return tuple(
+                rng.choice((-1, 1)) * rng.choice((10, 100, 10**6, rng.randint(1, 10**6)))
+                for _ in range(size)
             )
-            expected = f"p cnf {10**6} {len(clauses)}\n" + "".join(
-                " ".join(map(str, c)) + " 0\n" for c in clauses
-            )
-            assert to_dimacs(CnfFormula(10**6, clauses)) == expected.encode("ascii")
+
+        formulas = [
+            (),
+            ((),),
+            ((), (3, -10)),
+            ((1,), (), (-2, 10)),
+            ((1,), (), (), (100,)),
+            ((), (), (), (-100, 10**6), ()),
+            ((10, -10, 100, -100, 10**6, -(10**6)),),
+            tuple(clause(n) for n in range(1, 502)),
+        ]
+        formulas += [tuple(clause(rng.randint(1, 40)) for _ in range(500)) for _ in range(4)]
+        for _ in range(300):
+            formulas.append(tuple(
+                clause(rng.choice((0, 0, 1, 2, 3, rng.randint(4, 60))))
+                for _ in range(rng.randint(0, 30))
+            ))
+        for clauses in formulas:
+            formula = CnfFormula(10**6, clauses)
+            assert tuple(formula.clauses) == clauses
+            assert to_dimacs(formula) == render_dimacs(10**6, clauses)
 
     def test_empty_formula(self):
         assert to_dimacs(CnfFormula(0, ())) == b"p cnf 0 0\n"
@@ -400,3 +421,115 @@ class TestDimacs:
         assert outcome.status == "sat"
         assert outcome.model[y] is True
         assert outcome.model[x] is False
+
+
+class TestClauseBookkeeping:
+    """The builder counts clauses next to the flat stream instead of
+    counting terminators; after every step the count must equal the 0s in
+    the stream and the count in the DIMACS header."""
+
+    @staticmethod
+    def check(b):
+        header = to_dimacs(b.build()).split(b"\n", 1)[0].split()
+        assert len(b.clauses) == b.clauses.lits.count(0) == int(header[3])
+
+    @pytest.mark.parametrize("connective", ["lit_and", "lit_or", "lit_xor"])
+    def test_connectives_folded_and_not(self, connective):
+        b = CnfBuilder()
+        x, y = b.new_vars(2)
+        pairs = [(x, TRUE_LIT), (FALSE_LIT, y), (x, x), (x, -x), (x, y), (-x, -y)]
+        for pair in pairs:
+            before = len(b.clauses)
+            getattr(b, connective)(*pair)
+            self.check(b)
+        assert len(b.clauses) > before  # the last pair did not fold
+
+    def test_add_clause_normalisation(self):
+        b = CnfBuilder()
+        x, y = b.new_vars(2)
+        for clause in [(x, -x), (x, x, y), (FALSE_LIT, FALSE_LIT), (), (x, TRUE_LIT), (-y,)]:
+            b.add_clause(clause)
+            self.check(b)
+        assert len(b.clauses) == 5
+
+    def test_sort_block_folds(self):
+        b = CnfBuilder()
+        x, y, z = b.new_vars(3)
+        inputs = [
+            [TRUE_LIT, FALSE_LIT, x],
+            [TRUE_LIT] * 4,
+            [x, x, y, y],
+            [x, -x, y, -y],
+            [FALSE_LIT, z, TRUE_LIT, -z, x],
+            list(range(2, 5)) * 5,
+        ]
+        for lits in inputs:
+            b.sort_block(lits)
+            self.check(b)
+        b.sort_block(b.sort_block([x, y]) + b.sort_block([-z, TRUE_LIT]), run=2)
+        self.check(b)
+
+    def test_sort_block_mixed(self):
+        rng = random.Random(7)
+        b = CnfBuilder()
+        b.new_vars(8)
+        for n in range(1, 40):
+            b.sort_block(_mixed_literals(rng, n, 9), run=rng.randint(1, 4))
+            self.check(b)
+
+
+class TestBenchmarkContract:
+    """What the benchmark reads of the builder and the formula, from
+    outside the package: bench/tracing.py takes len(builder.clauses) at
+    the start and end of each encoder span, and len(formula.clauses);
+    bench/tests/test_bench.py corrupts a query by iterating
+    formula.clauses as tuples and rendering dataclasses.replace(formula,
+    clauses=...). The tracer wraps these callables by name, with the
+    builder as their first argument."""
+
+    def test_callables_the_tracer_wraps(self):
+        import lgnsat.cnf
+        import lgnsat.encoder
+
+        for owner, name in [
+            (CnfBuilder, "encode_network"),
+            (CnfBuilder, "sort_block"),
+            (lgnsat.cnf, "to_dimacs"),
+            (lgnsat.encoder, "build_query"),
+            *((lgnsat.encoder, f"emit_{family}") for family in (
+                "well_formed", "winning", "diff_class", "confidence_gt",
+                "prox", "same_cat", "diff_cat",
+            )),
+        ]:
+            assert callable(getattr(owner, name)), name
+
+    def test_len_partway_through_a_build(self):
+        b = CnfBuilder()
+        in_lits = b.new_vars(4)
+        assert len(b.clauses) == 1
+        out = b.encode_network(random_netlist(4, [6, 4], 2, 2, seed=3), in_lits)
+        after_network = len(b.clauses)
+        assert after_network == len(list(b.clauses)) > 1
+        b.sort_block(out + in_lits)
+        assert len(b.clauses) == len(list(b.clauses)) > after_network
+        assert len(b.build().clauses) == len(b.clauses)
+
+    def test_clauses_iterate_as_tuples(self):
+        b = CnfBuilder()
+        x, y = b.new_vars(2)
+        b.lit_xor(x, y)
+        clauses = list(b.build().clauses)
+        assert all(type(clause) is tuple for clause in clauses)
+        assert clauses[0] == (TRUE_LIT,) and len(clauses) == 5
+
+    def test_replaced_clauses_are_rendered(self):
+        b = CnfBuilder()
+        x, y = b.new_vars(2)
+        b.lit_and(x, y)
+        formula = b.build()
+        clauses = list(formula.clauses)
+        clauses[1] = (-x, y)
+        replaced = dataclasses.replace(formula, clauses=tuple(clauses))
+        assert tuple(replaced.clauses) == tuple(clauses)
+        assert to_dimacs(replaced) == render_dimacs(formula.num_vars, clauses)
+        assert to_dimacs(replaced) != to_dimacs(formula)

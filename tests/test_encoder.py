@@ -62,7 +62,7 @@ class TestProx:
         b = CnfBuilder()
         t, t2 = b.new_vars(3), b.new_vars(3)
         emit_prox(b, 0, t, t2)
-        clauses = set(b.build().clauses[1:])
+        clauses = set(tuple(b.build().clauses)[1:])
         assert clauses == {
             c for k in range(3) for c in ((-t[k], t2[k]), (-t2[k], t[k]))
         }
@@ -346,3 +346,14 @@ class TestPinnedQueryBytes:
         formula, varmap = build_query(net, schema, query)
         assert hashlib.sha256(to_dimacs(formula)).hexdigest() == dimacs_sha
         assert hashlib.sha256(varmap.sidecar().encode()).hexdigest() == sidecar_sha
+
+
+def test_adult_query_clause_count_matches_stream():
+    # The builder counts sort_block's clauses from the variables it made
+    # (6 clauses per 2); the count must still match the stream's 0s and
+    # the DIMACS header on a full Adult-shaped query.
+    net = random_netlist(100, [2000, 2000, 2000, 1000], 2, 500, seed=2)
+    formula, _ = build_query(net, _adult_schema(), PropertyQuery("fair", 1, Fraction(3, 4)))
+    header = to_dimacs(formula).split(b"\n", 1)[0].split()
+    assert len(formula.clauses) == formula.clauses.lits.count(0) == int(header[3])
+    assert len(formula.clauses) > 100_000

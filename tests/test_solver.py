@@ -51,7 +51,7 @@ def trivial_sat():
 
 def trivial_unsat():
     b = CnfBuilder()
-    b.clauses.append((-1,))
+    b.add_clause((-1,))
     return b.build()
 
 
@@ -167,7 +167,8 @@ class TestBuiltinFallback:
 
         b = CnfBuilder()
         x, y, z = b.new_vars(3)
-        b.add_clauses([(x, y), (-x,), (-y, z)])
+        for clause in ((x, y), (-x,), (-y, z)):
+            b.add_clause(clause)
         outcome = solve(b.build(), SolverConfig(timeout=60.0))
         assert outcome.status == SAT
         assert outcome.model == (False, True, False, True, True)
@@ -178,7 +179,8 @@ def pigeonhole(pigeons, holes):
     """Each pigeon sits in a hole and no hole holds two pigeons."""
     b = CnfBuilder()
     sits = [b.new_vars(holes) for _ in range(pigeons)]
-    b.add_clauses(sits)
+    for clause in sits:
+        b.add_clause(clause)
     for h in range(holes):
         for i in range(pigeons):
             for j in range(i + 1, pigeons):
