@@ -16,8 +16,9 @@ get no variables.
 Cardinalities are unary sorts built from Batcher odd-even merges of sorted
 runs: each class block is sorted from single literals, and the total count
 merges the already sorted blocks instead of sorting all outputs again. A
-merge network depends only on its size, so each size is traced once into a
-comparator program that every later merge of that size runs as a flat loop.
+sort's network depends only on its number of inputs and its run length, so
+each such shape is traced once, merge by merge, into a cached comparator
+program that every later sort of that shape runs as one flat loop.
 
 Clauses are kept as one flat DIMACS literal stream, each clause's literals
 followed by 0, the layout of a solver's clause arena. Writing DIMACS is then
@@ -28,7 +29,9 @@ from __future__ import annotations
 
 import functools
 import heapq
+from array import array
 from dataclasses import dataclass
+from operator import neg
 
 from .netlist import Netlist
 
@@ -142,16 +145,28 @@ class CnfBuilder:
         """Add one clause, normalized: duplicate literals collapse,
         tautologies and clauses satisfied by the TRUE constant are elided,
         falsified constant literals are dropped."""
-        seen: list[Lit] = []
-        for lit in lits:
-            if lit == TRUE_LIT:
+        if len(lits) > 32:
+            # A dict keeps the first of each literal in order, and its
+            # lookups keep a long clause linear. A list is faster on the
+            # short clauses the encoder makes most, such as confidence
+            # clauses of C+1 literals that are mostly FALSE.
+            if TRUE_LIT in lits:
                 return
-            if lit == FALSE_LIT:
-                continue
-            if -lit in seen:
+            seen = dict.fromkeys(lits)
+            seen.pop(FALSE_LIT, None)
+            if not seen.keys().isdisjoint(map(neg, seen)):
                 return
-            if lit not in seen:
-                seen.append(lit)
+        else:
+            seen = []
+            for lit in lits:
+                if lit == TRUE_LIT:
+                    return
+                if lit == FALSE_LIT:
+                    continue
+                if -lit in seen:
+                    return
+                if lit not in seen:
+                    seen.append(lit)
         # A clause of only falsified constants is an explicit falsum.
         self.clauses.extend((*seen, 0) if seen else (FALSE_LIT, 0), 1)
 
@@ -248,88 +263,124 @@ class CnfBuilder:
         end. ``run=1`` sorts arbitrary literals; sorted class blocks with
         ``run`` set to the block size merge without being sorted again.
 
-        Each merge runs the cached comparator program of its size. A
-        comparator is (hi, lo) = (a OR b, a AND b), folded as ``lit_or``
-        and ``lit_and`` fold: hi gets its variable before lo, and the OR
-        clauses come before the AND clauses.
+        The whole sort runs as the cached comparator program of its
+        ``(len(lits), run)``. A comparator is (hi, lo) = (a OR b, a AND b),
+        folded as ``lit_or`` and ``lit_and`` fold: hi gets its variable
+        before lo, and the OR clauses come before the AND clauses.
         """
-        lits = list(lits)
-        # Runs are kept ascending, the order the merge programs work in.
-        runs = [lits[k:k + run][::-1] for k in range(0, len(lits), run)]
-        heap = [(len(r), i, r) for i, r in enumerate(runs)]
-        heapq.heapify(heap)
-        order = len(heap)
-        clauses = self.clauses
-        stream = clauses.lits
-        while len(heap) > 1:
-            (na, _, a), (nb, _, b) = heapq.heappop(heap), heapq.heappop(heap)
-            size = 1 << (max(na, nb) - 1).bit_length()
-            steps, outs = _merge_program(size)
-            wires = [FALSE_LIT] * (size - na) + a + [FALSE_LIT] * (size - nb) + b
-            add = wires.append
-            n = self.num_vars
-            for x, y in steps:
-                p, q = wires[x], wires[y]
-                # The folds of lit_or then lit_and: equal inputs pass, a
-                # complementary pair gives (TRUE, FALSE), and a constant
-                # input makes the other one lo (TRUE) or hi (FALSE).
-                if p == q:
-                    add(p)
-                    add(p)
-                elif p == -q:
-                    add(TRUE_LIT)
-                    add(FALSE_LIT)
-                elif p == TRUE_LIT or q == FALSE_LIT:
-                    add(p)
-                    add(q)
-                elif q == TRUE_LIT or p == FALSE_LIT:
-                    add(q)
-                    add(p)
-                else:
-                    hi, lo = n + 1, n + 2
-                    n = lo
-                    stream += (
-                        hi, -p, 0, hi, -q, 0, -hi, p, q, 0,
-                        -lo, p, 0, -lo, q, 0, lo, -p, -q, 0,
-                    )
-                    add(hi)
-                    add(lo)
-            # Each comparator that did not fold made 2 variables and 6 clauses.
-            clauses.count += 3 * (n - self.num_vars)
-            self.num_vars = n
-            merged = [wires[w] for w in outs[2 * size - na - nb:]]
-            heapq.heappush(heap, (na + nb, order, merged))
-            order += 1
-        return heap[0][2][::-1] if heap else []
+        wires = list(lits)
+        xs, ys, outs = _sort_program(len(wires), run)
+        wires.append(FALSE_LIT)
+        add = wires.append
+        stream = self.clauses.lits
+        n = self.num_vars
+        for x, y in zip(xs, ys):
+            p, q = wires[x], wires[y]
+            # The folds of lit_or then lit_and: equal inputs pass, a
+            # complementary pair gives (TRUE, FALSE), and a constant
+            # input makes the other one lo (TRUE) or hi (FALSE).
+            if p == q:
+                add(p)
+                add(p)
+            elif p == -q:
+                add(TRUE_LIT)
+                add(FALSE_LIT)
+            elif p == TRUE_LIT or q == FALSE_LIT:
+                add(p)
+                add(q)
+            elif q == TRUE_LIT or p == FALSE_LIT:
+                add(q)
+                add(p)
+            else:
+                hi, lo = n + 1, n + 2
+                n = lo
+                stream += (
+                    hi, -p, 0, hi, -q, 0, -hi, p, q, 0,
+                    -lo, p, 0, -lo, q, 0, lo, -p, -q, 0,
+                )
+                add(hi)
+                add(lo)
+        # Each comparator that did not fold made 2 variables and 6 clauses.
+        self.clauses.count += 3 * (n - self.num_vars)
+        self.num_vars = n
+        return list(map(wires.__getitem__, outs))
+
+
+# A program is three int arrays: the two wires each comparator reads, and
+# the output wires. Arrays hold 4 bytes a wire, an eighth of a list of ints.
+# The caches hand the same arrays to every caller, which only reads them.
+Program = tuple[array, array, array]
+
+
+@functools.lru_cache(maxsize=16)
+def _sort_program(n: int, run: int) -> Program:
+    """The comparator program of ``sort_block`` on ``n`` literals in runs of
+    ``run``. Wires 0..n-1 hold the inputs and wire n constant FALSE; step k
+    reads wires (xs[k], ys[k]) and writes wire n+1+2k (hi) and the wire
+    after it (lo). ``outs`` lists the output wires, s[0] first.
+
+    Each merge maps its merge program's wires onto the sort's: the padded
+    runs, then the wires the merge writes, after every wire written so
+    far."""
+    false = array("i", [n])
+    # Runs are kept ascending, the order the merge programs work in. Ties
+    # go to the older run: input runs by their first wire, below n, then
+    # merged runs in the order they were made.
+    heap = [
+        (min(run, n - k), k, array("i", range(min(k + run, n) - 1, k - 1, -1)))
+        for k in range(0, n, run)
+    ]
+    heapq.heapify(heap)
+    order = n
+    xs, ys = array("i"), array("i")
+    while len(heap) > 1:
+        (na, _, a), (nb, _, b) = heapq.heappop(heap), heapq.heappop(heap)
+        size = 1 << (max(na, nb) - 1).bit_length()
+        merge_xs, merge_ys, merge_outs = _merge_program(size)
+        top = n + 1 + 2 * len(xs)
+        wire = (
+            false * (size - na) + a + false * (size - nb) + b
+            + array("i", range(top, top + 2 * len(merge_xs)))
+        ).__getitem__
+        xs.extend(map(wire, merge_xs))
+        ys.extend(map(wire, merge_ys))
+        merged = array("i", map(wire, merge_outs[2 * size - na - nb:]))
+        heapq.heappush(heap, (na + nb, order, merged))
+        order += 1
+    outs = heap[0][2][::-1] if heap else array("i")
+    return xs, ys, outs
 
 
 @functools.cache
-def _merge_program(size: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+def _merge_program(size: int) -> Program:
     """Batcher's odd-even merge of two ascending runs of ``size`` wires (a
-    power of two), traced once on wire indices: wires 0..size-1 hold the
-    first run and size..2*size-1 the second. Returns the comparator steps
-    in the order they are applied, and the ascending output wires. Step k
-    reads wires (x, y) and writes wire 2*size + 2k (their OR, hi) and the
-    wire after it (their AND, lo)."""
-    steps: list[tuple[int, int]] = []
+    power of two): wires 0..size-1 hold the first run and size..2*size-1
+    the second. Step k reads wires (xs[k], ys[k]) and writes wire
+    2*size + 2k (their OR, hi) and the wire after it (their AND, lo);
+    ``outs`` lists the output wires in ascending order.
 
-    def comparator(x: int, y: int) -> tuple[int, int]:
-        steps.append((x, y))
-        hi = 2 * size + 2 * len(steps) - 2
-        return hi, hi + 1
-
-    def merge(a: list[int], b: list[int]) -> list[int]:
-        if len(a) == 1:
-            hi, lo = comparator(a[0], b[0])
-            return [lo, hi]
-        even = merge(a[0::2], b[0::2])
-        odd = merge(a[1::2], b[1::2])
-        out = [even[0]]
-        for i in range(1, len(a)):
-            hi, lo = comparator(odd[i - 1], even[i])
-            out += (lo, hi)
-        out.append(odd[-1])
-        return out
-
-    outs = merge(list(range(size)), list(range(size, 2 * size)))
-    return tuple(steps), tuple(outs)
+    A merge runs the half-size merge on the even wires of both runs, then
+    on the odd wires, then compares odd output i-1 with even output i."""
+    if size == 1:
+        return array("i", [0]), array("i", [1]), array("i", [3, 2])
+    half_xs, half_ys, half_outs = _merge_program(size // 2)
+    written = 2 * len(half_xs)
+    xs, ys, merged = array("i"), array("i"), []
+    for parity in (0, 1):
+        top = 2 * size + parity * written
+        wire = (
+            array("i", range(parity, size, 2))
+            + array("i", range(size + parity, 2 * size, 2))
+            + array("i", range(top, top + written))
+        ).__getitem__
+        xs.extend(map(wire, half_xs))
+        ys.extend(map(wire, half_ys))
+        merged.append(array("i", map(wire, half_outs)))
+    even, odd = merged
+    xs += odd[:-1]
+    ys += even[1:]
+    top = 2 * size + 2 * written
+    # The last comparators write (hi, lo) pairs; the outputs take lo first.
+    pairs = array("i", range(top, top + 2 * (size - 1)))
+    pairs[0::2], pairs[1::2] = pairs[1::2], pairs[0::2]
+    return xs, ys, even[:1] + pairs + odd[-1:]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .cnf import FALSE_LIT, CnfBuilder, CnfFormula, Lit
+from .cnf import FALSE_LIT, TRUE_LIT, CnfBuilder, CnfFormula, Lit
 from .errors import InvalidNetlistError, QueryBuildError
 from .evaluator import FAIR, ROBUST
 from .netlist import Netlist, schema_violations
@@ -142,20 +142,50 @@ def emit_winning(b: CnfBuilder, sorted_blocks) -> list[Lit]:
     pin the minimum-index argmax — the same tie-break the concrete
     evaluator uses. An at-least-one clause completes the one-directional
     implications; at-most-one follows from the strictness asymmetry.
+
+    The fixed-shape clauses go straight into the builder's stream with the
+    folds of ``lit_and`` and ``add_clause`` inline. The flags are fresh, so
+    only the block literals can fold.
     """
     num_classes = len(sorted_blocks)
-    width = len(sorted_blocks[0])
     winners = b.new_vars(num_classes)
-    for c in range(num_classes):
-        s_c = sorted_blocks[c]
-        for d in range(num_classes):
-            s_d = sorted_blocks[d]
+    clauses = b.clauses
+    stream = clauses.lits
+    for c, s_c in enumerate(sorted_blocks):
+        not_w = -winners[c]
+        for d, s_d in enumerate(sorted_blocks):
             if d < c:
-                above = [b.lit_and(s_c[k], -s_d[k]) for k in range(width)]
-                b.add_clause([-winners[c]] + above)
+                # Some k with s_c[k] AND NOT s_d[k]: one lit_and per k.
+                above = [not_w]
+                n = b.num_vars
+                for p, q in zip(s_c, s_d):
+                    if p == FALSE_LIT or q == TRUE_LIT or p == q:
+                        continue  # FALSE, which the clause drops
+                    if p == TRUE_LIT:
+                        above.append(-q)
+                    elif q == FALSE_LIT or p == -q:
+                        above.append(p)
+                    else:
+                        n += 1
+                        stream += (-n, p, 0, -n, -q, 0, n, -p, q, 0)
+                        above.append(n)
+                clauses.count += 3 * (n - b.num_vars)
+                b.num_vars = n
+                b.add_clause(above)
             elif d > c:
-                for k in range(width):
-                    b.add_clause((-winners[c], -s_d[k], s_c[k]))
+                # (-w_c, -s_d[k], s_c[k]) for every k, as add_clause has it.
+                kept = 0
+                for q, p in zip(s_d, s_c):
+                    if q == FALSE_LIT or p == TRUE_LIT or p == q:
+                        continue  # satisfied
+                    kept += 1
+                    if q == TRUE_LIT or p == -q:
+                        stream += (not_w, 0) if p == FALSE_LIT else (not_w, p, 0)
+                    elif p == FALSE_LIT:
+                        stream += (not_w, -q, 0)
+                    else:
+                        stream += (not_w, -q, p, 0)
+                clauses.count += kept
     b.add_clause(winners)
     return winners
 

@@ -43,6 +43,9 @@ DEFAULT_SOLVER = "kissat"
 FALLBACK_SOLVERS = ("cadical", "cryptominisat5", "varisat", "picosat", "lingeling")
 BUILTIN_SOLVER = str(Path(__file__).with_name("cdcl.py"))
 
+# Exit code -> the verdict it gives and the status line that must come with it.
+_STATUS_LINES = {10: (SAT, "s SATISFIABLE"), 20: (UNSAT, "s UNSATISFIABLE")}
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -130,7 +133,9 @@ def solve(formula: CnfFormula, config: SolverConfig | None = None) -> SolveOutco
     code 10/20; the temp file is removed in every case.
 
     Timeouts and unexpected exit codes map to UNKNOWN (recorded, not
-    raised); a missing solver or unreadable output raises.
+    raised); a missing solver or unreadable output raises, and so does an
+    exit code 10 or 20 whose status lines are not just its own
+    ``s SATISFIABLE`` or ``s UNSATISFIABLE``.
     """
     config = config or SolverConfig()
     exe = find_solver(config.executable)
@@ -159,12 +164,15 @@ def solve(formula: CnfFormula, config: SolverConfig | None = None) -> SolveOutco
     finally:
         path.unlink(missing_ok=True)
     wall = time.monotonic() - started
-    stats = tuple(l for l in stdout.splitlines() if l.startswith("c"))
-    if proc.returncode == 10:
-        if "s SATISFIABLE" not in stdout:
-            raise SolverOutputError("exit code 10 without 's SATISFIABLE' line")
-        model = _parse_model(stdout, formula.num_vars)
-        return SolveOutcome(SAT, model, wall, 10, stats)
-    if proc.returncode == 20:
-        return SolveOutcome(UNSAT, None, wall, 20, stats)
-    return SolveOutcome(UNKNOWN, None, wall, proc.returncode, stats)
+    lines = stdout.splitlines()
+    stats = tuple(l for l in lines if l.startswith("c"))
+    if proc.returncode not in _STATUS_LINES:
+        return SolveOutcome(UNKNOWN, None, wall, proc.returncode, stats)
+    status, line = _STATUS_LINES[proc.returncode]
+    # The status is a whole line; a comment that mentions it is not one.
+    if {l.rstrip() for l in lines if l.startswith("s ")} != {line}:
+        raise SolverOutputError(
+            f"exit code {proc.returncode} needs the status line {line!r} and no other"
+        )
+    model = _parse_model(stdout, formula.num_vars) if status == SAT else None
+    return SolveOutcome(status, model, wall, proc.returncode, stats)

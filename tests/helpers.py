@@ -8,11 +8,15 @@ merge recursively instead of running a traced program, the brute-force
 verifier enumerates every well-formed input pair instead of calling a
 solver, and the unit propagator checks encodings without the external
 solver (full-equivalence Tseitin makes every auxiliary variable derivable
-from a complete input assignment).
+from a complete input assignment). The ``reference_*`` functions keep the
+straightforward forms of code the package runs faster (a heap of runs
+merged one at a time, a list-scanning clause normaliser, a call per winner
+clause), so tests can require the very same clause stream.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 import time
@@ -304,6 +308,116 @@ class OracleSorter:
             pending.append((na + nb, age, merged[2 * size - na - nb:]))
             age += 1
         return list(reversed(pending[0][2])) if pending else []
+
+
+def reference_merge_program(size: int):
+    """Batcher's odd-even merge of two ascending runs of ``size`` wires,
+    traced one comparator at a time by the recursion: wires 0..size-1 hold
+    the first run and size..2*size-1 the second. Returns the (x, y) steps
+    in order, step k writing wire 2*size + 2k (hi) and the one after (lo),
+    and the ascending output wires."""
+    steps: list[tuple[int, int]] = []
+
+    def comparator(x: int, y: int) -> tuple[int, int]:
+        steps.append((x, y))
+        hi = 2 * size + 2 * len(steps) - 2
+        return hi, hi + 1
+
+    def merge(a: list[int], b: list[int]) -> list[int]:
+        if len(a) == 1:
+            hi, lo = comparator(a[0], b[0])
+            return [lo, hi]
+        even = merge(a[0::2], b[0::2])
+        odd = merge(a[1::2], b[1::2])
+        out = [even[0]]
+        for i in range(1, len(a)):
+            hi, lo = comparator(odd[i - 1], even[i])
+            out += (lo, hi)
+        out.append(odd[-1])
+        return out
+
+    outs = merge(list(range(size)), list(range(size, 2 * size)))
+    return steps, outs
+
+
+def reference_sort_block(builder, lits, run: int = 1) -> list[int]:
+    """Reference for ``CnfBuilder.sort_block`` that writes into ``builder``:
+    a heap of runs, merged two shortest first (ties in input order), each
+    merge padded on its own with FALSE and run as its traced merge program
+    with the comparator folds inline."""
+    lits = list(lits)
+    runs = [lits[k:k + run][::-1] for k in range(0, len(lits), run)]
+    heap = [(len(r), i, r) for i, r in enumerate(runs)]
+    heapq.heapify(heap)
+    order = len(heap)
+    stream = builder.clauses.lits
+    while len(heap) > 1:
+        (na, _, a), (nb, _, b) = heapq.heappop(heap), heapq.heappop(heap)
+        size = 1 << (max(na, nb) - 1).bit_length()
+        steps, outs = reference_merge_program(size)
+        wires = [-1] * (size - na) + a + [-1] * (size - nb) + b
+        n = builder.num_vars
+        for x, y in steps:
+            p, q = wires[x], wires[y]
+            if p == q:
+                wires += (p, p)
+            elif p == -q:
+                wires += (1, -1)
+            elif p == 1 or q == -1:
+                wires += (p, q)
+            elif q == 1 or p == -1:
+                wires += (q, p)
+            else:
+                hi, lo = n + 1, n + 2
+                n = lo
+                stream += (
+                    hi, -p, 0, hi, -q, 0, -hi, p, q, 0,
+                    -lo, p, 0, -lo, q, 0, lo, -p, -q, 0,
+                )
+                wires += (hi, lo)
+        builder.clauses.count += 3 * (n - builder.num_vars)
+        builder.num_vars = n
+        merged = [wires[w] for w in outs[2 * size - na - nb:]]
+        heapq.heappush(heap, (na + nb, order, merged))
+        order += 1
+    return heap[0][2][::-1] if heap else []
+
+
+def reference_add_clause(builder, lits) -> None:
+    """Reference for ``CnfBuilder.add_clause``: one scan that keeps the
+    literals seen so far in a list."""
+    seen: list[int] = []
+    for lit in lits:
+        if lit == 1:
+            return
+        if lit == -1:
+            continue
+        if -lit in seen:
+            return
+        if lit not in seen:
+            seen.append(lit)
+    builder.clauses.extend((*seen, 0) if seen else (-1, 0), 1)
+
+
+def reference_emit_winning(builder, sorted_blocks) -> list[int]:
+    """Reference for ``lgnsat.encoder.emit_winning``: one ``lit_and`` per
+    position of each (d < c) pair and one normalised clause per position of
+    each (d > c) pair, each through the builder's calls."""
+    num_classes = len(sorted_blocks)
+    width = len(sorted_blocks[0])
+    winners = builder.new_vars(num_classes)
+    for c in range(num_classes):
+        s_c = sorted_blocks[c]
+        for d in range(num_classes):
+            s_d = sorted_blocks[d]
+            if d < c:
+                above = [builder.lit_and(s_c[k], -s_d[k]) for k in range(width)]
+                reference_add_clause(builder, [-winners[c]] + above)
+            elif d > c:
+                for k in range(width):
+                    reference_add_clause(builder, (-winners[c], -s_d[k], s_c[k]))
+    reference_add_clause(builder, winners)
+    return winners
 
 
 # -- brute-force verification oracles ------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,9 +12,12 @@ from helpers import (
     gate_ref,
     input_ref,
     interpret,
+    reference_add_clause,
+    reference_sort_block,
     render_dimacs,
 )
 
+from lgnsat import cnf
 from lgnsat.cnf import FALSE_LIT, TRUE_LIT, Clauses, CnfBuilder, CnfFormula, to_dimacs
 from lgnsat.netlist import Netlist, random_netlist
 
@@ -354,6 +358,115 @@ class TestSortBlockMatchesOracle:
             num_vars = size + 1
             self.check(_mixed_literals(rng, n, num_vars), size, num_vars)
             self.check(list(range(2, n + 2)), size, n + 1)
+
+
+# (len(lits), run) of the sorts in the benchmark's queries: the Adult
+# block sort and total count, and the ten-class ones.
+BENCHMARK_SORTS = ((500, 1), (1000, 500), (100, 1), (1000, 100))
+
+
+def _same_state(new: CnfBuilder, ref: CnfBuilder) -> None:
+    assert new.clauses.lits == ref.clauses.lits
+    assert len(new.clauses) == len(ref.clauses)
+    assert new.num_vars == ref.num_vars
+
+
+class TestSortBlockMatchesReference:
+    """sort_block, run as one cached program per (len(lits), run), writes the
+    same stream, variables and outputs as the heap-driven merge loop kept in
+    helpers."""
+
+    @staticmethod
+    def check(lits, run, num_vars):
+        new, ref = CnfBuilder(), CnfBuilder()
+        for b in (new, ref):
+            b.new_vars(num_vars - 1)
+        assert new.sort_block(lits, run=run) == reference_sort_block(ref, lits, run=run)
+        _same_state(new, ref)
+
+    @pytest.mark.parametrize("n", range(1, 71))
+    def test_runs(self, n):
+        rng = random.Random(n)
+        for run in sorted({1, 2, 3, 5, 7, n}):
+            num_vars = rng.randint(2, max(2, n // 2))
+            self.check(_mixed_literals(rng, n, num_vars), run, num_vars)
+
+    @pytest.mark.parametrize("n,run", BENCHMARK_SORTS)
+    def test_benchmark_shapes(self, n, run):
+        # Blocks are network outputs: variables with some constants among
+        # them. A total count merges blocks that are already sorted.
+        rng = random.Random(n * run)
+        num_vars = 3 * n
+        pool = [TRUE_LIT, FALSE_LIT] + list(range(2, num_vars + 1))
+        lits = [rng.choice(pool) for _ in range(n)]
+        if run > 1:
+            b = CnfBuilder()
+            b.new_vars(num_vars - 1)
+            lits = [l for k in range(0, n, run) for l in b.sort_block(lits[k:k + run])]
+            num_vars = b.num_vars
+        self.check(lits, run, num_vars)
+
+    def test_empty(self):
+        self.check([], 1, 2)
+
+
+class TestAddClauseMatchesReference:
+    """add_clause normalises a clause as the list-based scan in helpers does,
+    in linear time on long clauses."""
+
+    @staticmethod
+    def check(clauses):
+        new, ref = CnfBuilder(), CnfBuilder()
+        for b in (new, ref):
+            b.new_vars(40)
+        for clause in clauses:
+            new.add_clause(clause)
+            reference_add_clause(ref, clause)
+        _same_state(new, ref)
+
+    def test_random_clauses(self):
+        # Lengths 0 to 48, on both sides of the switch to a dict.
+        rng = random.Random(5)
+        for num_vars in (12, 40):
+            pool = [TRUE_LIT, FALSE_LIT] + [s * v for v in range(2, num_vars) for s in (1, -1)]
+            self.check([
+                tuple(rng.choice(pool) for _ in range(length))
+                for length in range(49)
+                for _ in range(40)
+            ])
+
+    # The reference is quadratic in the distinct literals of a clause, so
+    # the 20,000-literal clauses it checks repeat 500 variables.
+    def test_long_clause_with_complementary_pair_at_the_end(self):
+        lits = list(range(2, 502)) * 40
+        self.check([lits + [-501], lits + [FALSE_LIT, -2]])
+
+    def test_long_clause_with_duplicates(self):
+        lits = [FALSE_LIT] + [-v for v in range(2, 502)] * 40
+        self.check([lits, [FALSE_LIT] * 20_000, lits + [TRUE_LIT]])
+
+    def test_long_distinct_clause(self):
+        b = CnfBuilder()
+        lits = list(range(2, 20_002))
+        b.add_clause(lits + [-20_001])
+        b.add_clause(lits + [FALSE_LIT])
+        assert b.clauses.lits == [TRUE_LIT, 0, *lits, 0] and len(b.clauses) == 2
+
+
+def test_program_cache_memory():
+    # Comparator programs are int arrays: cached, the four benchmark sorts
+    # hold under 1 MB, and tracing them peaks under 2 MB.
+    cnf._sort_program.cache_clear()
+    cnf._merge_program.cache_clear()
+    tracemalloc.start()
+    try:
+        programs = [cnf._sort_program(n, run) for n, run in BENCHMARK_SORTS]
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(programs) == 4
+    assert held < 1_000_000
+    assert peak < 2_000_000
 
 
 class TestDimacs:

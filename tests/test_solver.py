@@ -240,6 +240,25 @@ class TestOutputParsing:
         with pytest.raises(SolverOutputError):
             solve(trivial_sat(), config)
 
+    def test_exit_20_without_status_line(self, tmp_path):
+        config = self.fake_solver(tmp_path, "exit 20\n")
+        with pytest.raises(SolverOutputError, match="s UNSATISFIABLE"):
+            solve(trivial_unsat(), config)
+
+    def test_status_in_a_comment_is_not_a_status_line(self, tmp_path):
+        config = self.fake_solver(
+            tmp_path, "echo 'c status SATISFIABLE'\necho 'v 1 0'\nexit 10\n"
+        )
+        with pytest.raises(SolverOutputError, match="s SATISFIABLE"):
+            solve(trivial_sat(), config)
+
+    def test_contradictory_status_lines(self, tmp_path):
+        config = self.fake_solver(
+            tmp_path, "echo 's UNSATISFIABLE'\necho 's SATISFIABLE'\necho 'v 1 0'\nexit 10\n"
+        )
+        with pytest.raises(SolverOutputError):
+            solve(trivial_sat(), config)
+
     def test_incomplete_model_rejected(self, tmp_path):
         b = CnfBuilder()
         x = b.new_var()
