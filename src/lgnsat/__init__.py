@@ -30,7 +30,6 @@ from .ingest import Dataset, accuracy, encode_row, load_csv
 from .netlist import (
     Gate,
     Netlist,
-    gate_truth,
     parse_netlist,
     random_netlist,
     serialize_netlist,
@@ -74,7 +73,6 @@ __all__ = [
     "encode_row",
     "find_solver",
     "forward",
-    "gate_truth",
     "load_csv",
     "parse_netlist",
     "parse_schema",

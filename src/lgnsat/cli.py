@@ -4,6 +4,9 @@ One structured JSON report per invocation on stdout, human-readable
 progress on stderr. Exit codes are a total function of the outcome:
 0 holds/ok, 1 counterexample (or not attainable), 2 invalid input,
 3 usage/environment problems, 4 unknown (timeout).
+
+``search-kappa`` reports the bracket ``[kappa_lower, kappa_star]`` around
+the minimal safe threshold; ``--tol 0`` closes it to the exact value.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .driver import check_attainable, search_min_kappa, sweep, verify_at
+from .driver import DEFAULT_TOLERANCE, check_attainable, search_min_kappa, sweep, verify_at
 from .encoder import PropertyQuery, build_query
 from .errors import (
     DataError,
@@ -173,24 +176,24 @@ def cmd_search_kappa(args) -> int:
     inputs, (net_data, schema_data) = _read_inputs(args, "netlist", "schema")
     netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
     config = _solver_config(args)
-    result = search_min_kappa(
-        netlist, schema, args.mode, args.eps, Fraction(args.tol), config
-    )
+    tolerance = Fraction(args.tol)
+    result = search_min_kappa(netlist, schema, args.mode, args.eps, tolerance, config)
+    attainable = None
     if result.converged:
-        result.attainable = check_attainable(netlist, schema, result.kappa_star, config)
+        attainable = check_attainable(netlist, schema, result.kappa_star, config)
     payload = {
         "kappa_star": _frac(result.kappa_star),
+        "kappa_lower": _frac(result.kappa_lower),
         "converged": result.converged,
-        "attainable": result.attainable,
-        "note": result.note,
-        "tolerance": _frac(Fraction(args.tol)),
+        "attainable": attainable,
+        "tolerance": _frac(tolerance),
         "total_time_s": round(result.total_time, 6),
         "probes": [_probe_json(q) for q in result.queries],
     }
     emit(_report(args, inputs, payload))
     log(
-        f"search-kappa: kappa_star={result.kappa_star} "
-        f"(attainable={result.attainable}, {len(result.queries)} probes, "
+        f"search-kappa: kappa* in [{result.kappa_lower}, {result.kappa_star}] "
+        f"(attainable={attainable}, {len(result.queries)} probes, "
         f"{result.total_time:.3f}s total)"
     )
     return EXIT_HOLDS if result.converged else EXIT_UNKNOWN
@@ -343,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_args(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("search-kappa", help="binary search the minimal safe threshold")
+    p = sub.add_parser("search-kappa", help="search the minimal safe threshold")
     p.add_argument("netlist")
     _add_query_args(p)
-    p.add_argument("--tol", default="0.05", help="bracket width to converge to")
+    p.add_argument("--tol", default=DEFAULT_TOLERANCE, help="bracket width (0 = exact)")
     _add_solver_args(p)
     p.set_defaults(func=cmd_search_kappa)
 

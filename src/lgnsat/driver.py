@@ -1,16 +1,17 @@
-"""Verification workflows: fixed-threshold queries, binary search over the
-confidence threshold, attainability checks, and threshold sweeps.
+"""Verification workflows: fixed-threshold queries, search for the minimal
+safe threshold, attainability checks, and threshold sweeps.
 
 Every solver-backed call goes through ``_solve``: it builds the query,
 hands it to the solver, and reads a SAT model back as one concrete input
 per network copy, rechecked on the network. Each probe is a fresh solver
 invocation (no incremental reuse), and searches and sweeps keep each
-probe's ``Verdict`` so cumulative solve time can be reported.
+probe's ``Verdict`` so cumulative solve time can be reported. Both pass
+their verdicts through one consistency rule, ``_check_consistent``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import solver as sat
@@ -32,21 +33,20 @@ from .netlist import Netlist
 from .schema import FeatureSchema
 from .solver import SolverConfig
 
+DEFAULT_TOLERANCE = Fraction(1, 20)
 
-@dataclass
+
+@dataclass(frozen=True)
 class KappaSearchResult:
-    """Outcome of the binary search for the minimal safe threshold.
-
-    ``attainable`` stays None until an attainability check fills it in (the
-    CLI does this); ``note`` flags degenerate outcomes such as a property
-    that is safe across the whole bracket.
-    """
+    """Outcome of the search for the minimal safe threshold kappa*: the
+    bracket ``[kappa_lower, kappa_star]`` holds it, and ``kappa_star`` is a
+    safe threshold. The two are equal when the search pinned kappa* exactly.
+    ``converged`` is False when an Unknown probe cut the search short."""
 
     kappa_star: Fraction
+    kappa_lower: Fraction
     converged: bool
-    queries: list[Verdict] = field(default_factory=list)
-    attainable: bool | None = None
-    note: str = ""
+    queries: tuple[Verdict, ...]
 
     @property
     def total_time(self) -> float:
@@ -117,51 +117,42 @@ def search_min_kappa(
     schema: FeatureSchema,
     mode: str,
     eps: int,
-    tolerance: Fraction = Fraction(1, 20),
+    tolerance: Fraction = DEFAULT_TOLERANCE,
     config: SolverConfig | None = None,
 ) -> KappaSearchResult:
-    """Binary search over [1/C, 1] for the smallest known-safe threshold.
+    """Shrink a bracket ``[lo, hi]`` around kappa*: the largest first-copy
+    confidence of a similar pair that changes class, or 1/C if there is
+    none. It starts as ``[1/C, 1]`` without a probe, as no confidence
+    exceeds 1.
 
-    Probes below 1/C would be vacuous (any firing output wins with at least
-    1/C confidence), so the bracket starts there. The result is the smallest
-    probed Holds threshold, conservative to within the tolerance. An Unknown
-    probe aborts with the partial log.
+    Probes go to ``lo``, then to midpoints. Holds at kappa sets ``hi`` to
+    kappa; a counterexample sets ``lo`` to its witness's confidence, which
+    is above kappa. Unknown stops with ``converged`` False. The search ends
+    when the bracket is at most ``tolerance`` wide (0: exact), or narrower
+    than 1/N^2 with N = C*L: distinct confidences a/t with t <= N differ by
+    more than that, so kappa* is then exactly ``lo``.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    lo = Fraction(1, netlist.num_classes)
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    exact = Fraction(1, (netlist.num_classes * netlist.block_size) ** 2)
+    lo = kappa = Fraction(1, netlist.num_classes)
     hi = Fraction(1)
     queries: list[Verdict] = []
-
-    def probe(kappa: Fraction) -> str:
+    converged = True
+    while hi - lo > tolerance and hi - lo >= exact:
         verdict = verify_at(netlist, schema, mode, eps, kappa, config)
         queries.append(verdict)
-        return verdict.status
-
-    status = probe(hi)
-    if status == UNKNOWN:
-        return KappaSearchResult(hi, False, queries, note="aborted: solver unknown")
-    if status == COUNTEREXAMPLE:
-        return KappaSearchResult(
-            Fraction(1), True, queries, note="unsafe at any threshold"
-        )
-    status = probe(lo)
-    if status == UNKNOWN:
-        return KappaSearchResult(hi, False, queries, note="aborted: solver unknown")
-    if status == HOLDS:
-        return KappaSearchResult(lo, True, queries, note="safe across whole bracket")
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2
-        status = probe(mid)
-        if status == UNKNOWN:
-            return KappaSearchResult(
-                hi, False, queries, note="aborted: solver unknown"
-            )
-        if status == HOLDS:
-            hi = mid
+        if verdict.status == UNKNOWN:
+            converged = False
+            break
+        if verdict.status == HOLDS:
+            hi = kappa
         else:
-            lo = mid
-    return KappaSearchResult(hi, True, queries)
+            lo = verdict.witness.x.conf
+        kappa = (lo + hi) / 2
+    _check_consistent(queries)
+    star = lo if hi - lo < exact else hi
+    return KappaSearchResult(star, lo, converged, tuple(queries))
 
 
 def check_attainable(
@@ -183,6 +174,19 @@ def check_attainable(
     return True
 
 
+def _check_consistent(verdicts) -> None:
+    """A Holds at kappa says no similar pair changes class from a confidence
+    above kappa, so a rechecked witness more confident than that is an
+    EncodingConsistencyError."""
+    holds = [v.kappa for v in verdicts if v.status == HOLDS]
+    confs = [v.witness.x.conf for v in verdicts if v.status == COUNTEREXAMPLE]
+    if holds and confs and max(confs) > min(holds):
+        raise EncodingConsistencyError(
+            f"verdicts not monotone: Holds at {min(holds)}, "
+            f"but a counterexample has confidence {max(confs)}"
+        )
+
+
 def sweep(
     netlist: Netlist,
     schema: FeatureSchema,
@@ -192,18 +196,10 @@ def sweep(
     config: SolverConfig | None = None,
 ) -> list[Verdict]:
     """verify_at across a threshold list; verdicts come back in ascending
-    kappa order and are checked for monotonicity."""
+    kappa order and must pass the consistency rule."""
     kappas = sorted(Fraction(k) for k in kappas)
     if not kappas:
         raise ValueError("kappa list must be nonempty")
     rows = [verify_at(netlist, schema, mode, eps, kappa, config) for kappa in kappas]
-    seen_holds_at = None
-    for row in rows:
-        if row.status == HOLDS and seen_holds_at is None:
-            seen_holds_at = row.kappa
-        if row.status == COUNTEREXAMPLE and seen_holds_at is not None:
-            raise EncodingConsistencyError(
-                f"verdicts not monotone: Holds at {seen_holds_at}, "
-                f"Counterexample at {row.kappa}"
-            )
+    _check_consistent(rows)
     return rows

@@ -33,17 +33,6 @@ from operator import neg, xor
 
 from .errors import InvalidNetlistError, NetlistFormatError
 
-# Constant and pass-through op codes, for readability at call sites.
-OP_FALSE = 0
-OP_PASS_A = 12
-OP_TRUE = 15
-
-
-def gate_truth(op: int, a: int, b: int) -> int:
-    """Output of truth-table code ``op`` on bits (a, b)."""
-    return (op >> (2 * a + b)) & 1
-
-
 Gate = tuple[int, int, int]
 """One 2-input gate ``(op, a, b)``: an exact int triple, which the cyclic
 collector untracks. Inputs are ordered, as op codes need not be commutative;

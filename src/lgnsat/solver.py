@@ -111,7 +111,10 @@ def _parse_model(stdout: str, num_vars: int) -> tuple[bool, ...]:
         if not line.startswith("v"):
             continue
         for tok in line[1:].split():
-            lit = int(tok)
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise SolverOutputError(f"model token {tok!r} is not an integer")
             if lit == 0:
                 saw_end = True
                 break

@@ -5,10 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from helpers import input_ref
+from helpers import OP_FALSE, OP_PASS_A, OP_TRUE, input_ref
 
 from lgnsat.netlist import Netlist
-from lgnsat.netlist import OP_FALSE, OP_PASS_A, OP_TRUE
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 from lgnsat.solver import SolverConfig
 

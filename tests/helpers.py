@@ -11,7 +11,9 @@ solver (full-equivalence Tseitin makes every auxiliary variable derivable
 from a complete input assignment). The ``reference_*`` functions keep the
 straightforward forms of code the package runs faster (a heap of runs
 merged one at a time, a list-scanning clause normaliser, a call per winner
-clause), so tests can require the very same clause stream.
+clause), so tests can require the very same clause stream. The named op
+codes and ``gate_truth`` are for building and reading test netlists, and
+``sleeping_solver`` stands in for a solver that stops answering.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from lgnsat.errors import NetlistFormatError
 
@@ -36,6 +40,7 @@ from lgnsat.evaluator import (
 )
 from lgnsat.netlist import Netlist
 from lgnsat.schema import FeatureSchema, NumericFeature
+from lgnsat.solver import BUILTIN_SOLVER
 
 
 def input_ref(index: int) -> int:
@@ -66,6 +71,17 @@ NAMED_OPS = {
     14: lambda a, b: int(a or b),            # or
     15: lambda a, b: 1,                      # true
 }
+
+# Constant and pass-through op codes, for readability in test netlists.
+OP_FALSE = 0
+OP_PASS_A = 12
+OP_TRUE = 15
+
+
+def gate_truth(op: int, a: int, b: int) -> int:
+    """Output of truth-table code ``op`` on bits (a, b): bit ``2*a + b`` of
+    the code, as the netlist format defines it."""
+    return (op >> (2 * a + b)) & 1
 
 
 def interpret(netlist: Netlist, input_bits) -> list[int]:
@@ -504,3 +520,22 @@ def brute_force_min_kappa(
             if xp.cls != x.cls and phi_on_values(x.values, xp.values, schema, eps, mode):
                 return x.conf
     return Fraction(1, netlist.num_classes)
+
+
+# -- solver stand-ins -----------------------------------------------------------
+
+
+def sleeping_solver(tmp_path, answered: int = 0) -> Path:
+    """A solver that hands its first ``answered`` calls to the built-in and
+    sleeps through every later one."""
+    counter = tmp_path / "calls"
+    exe = tmp_path / "sleepy-solver"
+    exe.write_text(
+        "#!/bin/sh\n"
+        f"calls=$(cat '{counter}' 2>/dev/null || echo 0)\n"
+        f"echo $((calls + 1)) > '{counter}'\n"
+        f"[ \"$calls\" -lt {answered} ] || exec sleep 30\n"
+        f"exec '{sys.executable}' '{BUILTIN_SOLVER}' \"$1\"\n"
+    )
+    exe.chmod(0o755)
+    return exe

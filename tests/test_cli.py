@@ -10,9 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from helpers import sleeping_solver
+
 import lgnsat
 from lgnsat import cli
 from lgnsat.cli import build_parser, main
+from lgnsat.driver import DEFAULT_TOLERANCE
 from lgnsat.netlist import serialize_netlist
 from lgnsat.schema import serialize_schema
 from lgnsat.solver import BUILTIN_SOLVER, find_solver
@@ -158,9 +161,11 @@ class TestSearchKappa:
         result = report["result"]
         assert result["kappa_star"]["exact"] == "1/2"
         assert result["converged"] is True
+        assert result["kappa_lower"]["exact"] == "1/2"
         # constant scores (1,1) sit exactly at 1/2: strictly above is absent
         assert result["attainable"] is False
-        assert len(result["probes"]) == 2
+        # Holds at the bracket's floor 1/C ends the search; 1 is never probed
+        assert len(result["probes"]) == 1
 
     def test_flip_net(self, capsys, files):
         code, report = run_cli(
@@ -171,9 +176,11 @@ class TestSearchKappa:
         result = report["result"]
         assert result["converged"] is True
         assert 1 - Fraction(result["kappa_star"]["exact"]) <= Fraction(1, 20)
-        # every kappa < 1 has a counterexample, so the search lands on 1;
+        # the witness at 1/2 has confidence 1, which closes the bracket at 1;
         # no input exceeds confidence 1, hence not attainable
         assert Fraction(result["kappa_star"]["exact"]) == 1
+        assert Fraction(result["kappa_lower"]["exact"]) == 1
+        assert [p["kappa"]["exact"] for p in result["probes"]] == ["1/2"]
         assert result["attainable"] is False
         assert result["total_time_s"] == pytest.approx(
             sum(p["wall_time_s"] for p in result["probes"]), abs=1e-3
@@ -188,6 +195,20 @@ class TestSearchKappa:
         result = report["result"]
         assert result["kappa_star"]["exact"] == "1/2"
         assert result["attainable"] is True
+
+    def test_tolerance_default_is_the_drivers(self, capsys, files):
+        _, report = run_cli(
+            capsys, "search-kappa", files["const"], "-s", files["schema"],
+            "--mode", "fair",
+        )
+        assert report["result"]["tolerance"]["exact"] == str(DEFAULT_TOLERANCE)
+
+    def test_negative_tolerance_exit_3(self, capsys, files):
+        code, _ = run_cli(
+            capsys, "search-kappa", files["flip"], "-s", files["schema"],
+            "--mode", "fair", "--tol=-1/20",
+        )
+        assert code == 3
 
 
 class TestSweepAndAttainable:
@@ -226,22 +247,6 @@ class TestSweepAndAttainable:
         assert code == 1 and report["result"]["attainable"] is False
 
 
-def sleeping_solver(tmp_path, answered: int = 0) -> Path:
-    """A solver that hands its first ``answered`` calls to the built-in and
-    sleeps through every later one."""
-    counter = tmp_path / "calls"
-    exe = tmp_path / "sleepy-solver"
-    exe.write_text(
-        "#!/bin/sh\n"
-        f"calls=$(cat '{counter}' 2>/dev/null || echo 0)\n"
-        f"echo $((calls + 1)) > '{counter}'\n"
-        f"[ \"$calls\" -lt {answered} ] || exec sleep 30\n"
-        f"exec '{sys.executable}' '{BUILTIN_SOLVER}' \"$1\"\n"
-    )
-    exe.chmod(0o755)
-    return exe
-
-
 class TestAttainableTimeout:
     def test_attainable_exit_4_with_null(self, capsys, files, tmp_path):
         code, report = run_cli(
@@ -252,14 +257,14 @@ class TestAttainableTimeout:
         assert report["result"]["attainable"] is None
 
     def test_search_reports_null_attainable(self, capsys, files, tmp_path):
-        # The two search probes are answered; the attainability probe sleeps.
+        # The one search probe is answered; the attainability probe sleeps.
         code, report = run_cli(
             capsys, "search-kappa", files["const"], "-s", files["schema"],
-            "--mode", "fair", "--solver", sleeping_solver(tmp_path, answered=2),
+            "--mode", "fair", "--solver", sleeping_solver(tmp_path, answered=1),
             "--timeout", "3",
         )
         result = report["result"]
-        assert [p["status"] for p in result["probes"]] == ["holds", "holds"]
+        assert [p["status"] for p in result["probes"]] == ["holds"]
         assert code == 0 and result["converged"] is True
         assert result["attainable"] is None
 

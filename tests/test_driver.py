@@ -3,9 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_force_min_kappa, brute_force_verify, enumerate_inputs, input_ref
+from helpers import (
+    OP_FALSE,
+    brute_force_min_kappa,
+    brute_force_verify,
+    enumerate_inputs,
+    input_ref,
+    sleeping_solver,
+)
 
-from lgnsat import solver
+from lgnsat import driver, solver
 from lgnsat.driver import check_attainable, search_min_kappa, sweep, verify_at
 from lgnsat.encoder import ATTAINABLE, PropertyQuery, build_query
 from lgnsat.errors import EncodingConsistencyError
@@ -15,9 +22,12 @@ from lgnsat.evaluator import (
     HOLDS,
     ROBUST,
     UNKNOWN,
+    InputRecord,
+    Verdict,
+    Witness,
     predict,
 )
-from lgnsat.netlist import OP_FALSE, Netlist, random_netlist
+from lgnsat.netlist import Netlist, random_netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 from lgnsat.solver import SAT, UNSAT, SolveOutcome, SolverConfig
 
@@ -56,17 +66,19 @@ class TestVerifyAt:
 
 
 class TestSearchMinKappa:
-    def test_constant_net_two_probes(self, const_net, flip_schema, solver_config):
+    def test_constant_net_one_probe(self, const_net, flip_schema, solver_config):
+        # Holds at the floor 1/C closes the bracket; 1 needs no probe
         result = search_min_kappa(const_net, flip_schema, "fair", 0, config=solver_config)
         assert result.converged
-        assert result.kappa_star == Fraction(1, 2)
-        assert len(result.queries) == 2
-        assert result.note == "safe across whole bracket"
+        assert result.kappa_star == result.kappa_lower == Fraction(1, 2)
+        assert [(q.kappa, q.status) for q in result.queries] == [(Fraction(1, 2), HOLDS)]
 
     def test_flip_net_converges_near_one(self, flip_net, flip_schema, solver_config):
         result = search_min_kappa(flip_net, flip_schema, "fair", 0, config=solver_config)
         assert result.converged
-        assert 1 - result.kappa_star <= Fraction(1, 20)
+        # the witness at 1/2 has confidence 1, which closes the bracket at 1
+        assert result.kappa_star == result.kappa_lower == 1
+        assert [q.kappa for q in result.queries] == [Fraction(1, 2)]
         assert verify_at(
             flip_net, flip_schema, "fair", 0, result.kappa_star, solver_config
         ).status == HOLDS
@@ -86,14 +98,14 @@ class TestSearchMinKappa:
         schema = small_schema()
         for seed in range(8):
             net = random_netlist(4, [6, 4], 2, 2, seed=seed)
-            result = search_min_kappa(net, schema, "fair", 1, config=solver_config)
+            result = search_min_kappa(net, schema, "fair", 1, 0, solver_config)
             assert result.converged
             oracle = brute_force_min_kappa(net, schema, "fair", 1)
-            assert abs(result.kappa_star - oracle) <= Fraction(1, 20), seed
+            assert result.kappa_star == result.kappa_lower == oracle, seed
 
     def test_bad_tolerance(self, flip_net, flip_schema):
         with pytest.raises(ValueError):
-            search_min_kappa(flip_net, flip_schema, "fair", 0, tolerance=Fraction(0))
+            search_min_kappa(flip_net, flip_schema, "fair", 0, tolerance=Fraction(-1, 20))
 
     def test_unknown_probe_aborts(self, flip_net, flip_schema, tmp_path):
         exe = tmp_path / "slow-solver"
@@ -102,8 +114,53 @@ class TestSearchMinKappa:
         config = SolverConfig(executable=str(exe), timeout=0.2)
         result = search_min_kappa(flip_net, flip_schema, "fair", 0, config=config)
         assert not result.converged
-        assert result.queries[-1].status == UNKNOWN
-        assert "aborted" in result.note
+        assert [q.status for q in result.queries] == [UNKNOWN]
+        # nothing was learned, so the bracket is still [1/C, 1]
+        assert (result.kappa_lower, result.kappa_star) == (Fraction(1, 2), 1)
+
+
+ORACLE_NETS = [(2, 5), (3, 3), (5, 2)]  # (C, L); C=5 as in the paper's new dataset
+
+
+def oracle_net(classes, block_size):
+    schema = small_schema()
+    net = random_netlist(schema.width, [6, classes * block_size], classes, block_size, 2)
+    return net, schema
+
+
+class TestExactSearch:
+    @pytest.mark.parametrize("mode", [FAIR, ROBUST])
+    @pytest.mark.parametrize("classes,block_size", ORACLE_NETS)
+    def test_zero_tolerance_is_the_oracle(self, classes, block_size, mode, solver_config):
+        net, schema = oracle_net(classes, block_size)
+        result = search_min_kappa(net, schema, mode, 1, 0, solver_config)
+        assert result.converged
+        oracle = brute_force_min_kappa(net, schema, mode, 1)
+        assert result.kappa_star == result.kappa_lower == oracle
+        assert all(q.kappa < 1 for q in result.queries)
+
+    @pytest.mark.parametrize("mode", [FAIR, ROBUST])
+    @pytest.mark.parametrize("classes,block_size", ORACLE_NETS)
+    def test_bracket_holds_the_oracle(self, classes, block_size, mode, solver_config):
+        net, schema = oracle_net(classes, block_size)
+        tolerance = Fraction(1, 20)
+        result = search_min_kappa(net, schema, mode, 1, tolerance, solver_config)
+        assert result.converged
+        oracle = brute_force_min_kappa(net, schema, mode, 1)
+        assert result.kappa_lower <= oracle <= result.kappa_star
+        assert result.kappa_star - result.kappa_lower <= tolerance
+        assert all(q.kappa < 1 for q in result.queries)
+
+    def test_cut_short_bracket_holds_the_oracle(self, tmp_path):
+        net, schema = oracle_net(3, 3)
+        config = SolverConfig(str(sleeping_solver(tmp_path, answered=2)), timeout=2.0)
+        result = search_min_kappa(net, schema, FAIR, 1, 0, config)
+        assert not result.converged
+        assert [q.status for q in result.queries][-1] == UNKNOWN
+        assert len(result.queries) == 3
+        oracle = brute_force_min_kappa(net, schema, FAIR, 1)
+        assert result.kappa_lower <= oracle <= result.kappa_star
+        assert result.kappa_lower < result.kappa_star
 
 
 class TestAttainable:
@@ -260,3 +317,39 @@ class TestRechecks:
         )
         with pytest.raises(EncodingConsistencyError, match="not monotone"):
             sweep(flip_net, flip_schema, FAIR, 0, [Fraction(3, 4), self.half])
+
+    def test_sweep_holds_below_a_witness_confidence(self, monkeypatch, flip_net, flip_schema):
+        # A valid counterexample at 1/2 whose witness has confidence 1, then
+        # Holds at 3/4: the statuses are in order, the confidences are not.
+        query = PropertyQuery(FAIR, 0, self.half)
+        answer(
+            monkeypatch,
+            forged_model(flip_net, flip_schema, query, (1, 0), (0, 1)),
+            SolveOutcome(UNSAT, None, 0.0, 20, ()),
+        )
+        with pytest.raises(EncodingConsistencyError, match="not monotone"):
+            sweep(flip_net, flip_schema, FAIR, 0, [self.half, Fraction(3, 4)])
+
+    def test_search_holds_below_a_witness_confidence(self, monkeypatch):
+        # Counterexample at 1/2 (confidence 3/5), Holds at 4/5, then a
+        # counterexample at 7/10 whose witness has confidence 9/10 > 4/5.
+        net = random_netlist(4, [10], 2, 5, seed=0)
+
+        def record(conf):
+            return InputRecord((), (), 0, conf)
+
+        replies = iter([
+            (Fraction(1, 2), COUNTEREXAMPLE, Fraction(3, 5)),
+            (Fraction(4, 5), HOLDS, None),
+            (Fraction(7, 10), COUNTEREXAMPLE, Fraction(9, 10)),
+        ])
+
+        def fake_verify_at(netlist, schema, mode, eps, kappa, config=None):
+            expected, status, conf = next(replies)
+            assert kappa == expected
+            witness = Witness(record(conf), record(conf)) if conf else None
+            return Verdict(status, kappa, witness)
+
+        monkeypatch.setattr(driver, "verify_at", fake_verify_at)
+        with pytest.raises(EncodingConsistencyError, match="not monotone"):
+            search_min_kappa(net, small_schema(), FAIR, 0)

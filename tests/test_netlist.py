@@ -7,14 +7,13 @@ import re
 
 import pytest
 
-from helpers import NAMED_OPS, findall_parse_layer_line, gate_ref, input_ref
+from helpers import NAMED_OPS, findall_parse_layer_line, gate_ref, gate_truth, input_ref
 
 from lgnsat.cnf import CnfBuilder
 from lgnsat.errors import InvalidNetlistError, NetlistFormatError
 from lgnsat.evaluator import forward, predict
 from lgnsat.netlist import (
     Netlist,
-    gate_truth,
     parse_netlist,
     random_netlist,
     serialize_netlist,

@@ -276,6 +276,13 @@ class TestOutputParsing:
         with pytest.raises(SolverOutputError, match="terminating 0"):
             solve(trivial_sat(), config)
 
+    def test_non_integer_model_token_rejected(self, tmp_path):
+        config = self.fake_solver(
+            tmp_path, "echo 's SATISFIABLE'\necho 'v 1 x 0'\nexit 10\n"
+        )
+        with pytest.raises(SolverOutputError, match="'x'"):
+            solve(trivial_sat(), config)
+
     def test_unexpected_exit_code_is_unknown(self, tmp_path):
         config = self.fake_solver(tmp_path, "exit 7\n")
         outcome = solve(trivial_sat(), config)
