@@ -285,10 +285,10 @@ def cmd_eval(args) -> int:
         "bits": "".join(map(str, bits)),
         "values": list(values),
         "class": cls,
-        "scores": list(scores.scores),
+        "scores": list(scores),
         "confidence": _frac(conf),
         # All-zero outputs have no defined score ratio; 1/C is a convention.
-        "degenerate_confidence": scores.total == 0,
+        "degenerate_confidence": sum(scores) == 0,
     }
     emit(_report(args, inputs, result))
     log(f"eval: class={cls} confidence={conf}")

@@ -17,8 +17,9 @@ Cardinalities are unary sorts built from Batcher odd-even merges of sorted
 runs: each class block is sorted from single literals, and the total count
 merges the already sorted blocks instead of sorting all outputs again. A
 sort's network depends only on its number of inputs and its run length, so
-each such shape is traced once, merge by merge, into a cached comparator
-program that every later sort of that shape runs as one flat loop.
+the comparators of each such shape are listed once, by Batcher's recursion
+(merge the even wires, merge the odd wires, then compare across), into a
+cached program that every sort of that shape runs as one flat loop.
 
 Clauses are kept as one flat DIMACS literal stream, each clause's literals
 followed by 0, the layout of a solver's clause arena. Writing DIMACS is then
@@ -306,81 +307,49 @@ class CnfBuilder:
         return list(map(wires.__getitem__, outs))
 
 
-# A program is three int arrays: the two wires each comparator reads, and
-# the output wires. Arrays hold 4 bytes a wire, an eighth of a list of ints.
-# The caches hand the same arrays to every caller, which only reads them.
-Program = tuple[array, array, array]
-
-
 @functools.lru_cache(maxsize=16)
-def _sort_program(n: int, run: int) -> Program:
+def _sort_program(n: int, run: int) -> tuple[array, array, array]:
     """The comparator program of ``sort_block`` on ``n`` literals in runs of
-    ``run``. Wires 0..n-1 hold the inputs and wire n constant FALSE; step k
+    ``run``, as three int arrays (4 bytes a wire) that every caller only
+    reads. Wires 0..n-1 hold the inputs and wire n constant FALSE; step k
     reads wires (xs[k], ys[k]) and writes wire n+1+2k (hi) and the wire
-    after it (lo). ``outs`` lists the output wires, s[0] first.
+    after it (lo). ``outs`` lists the output wires, s[0] first."""
+    xs, ys = array("i"), array("i")
 
-    Each merge maps its merge program's wires onto the sort's: the padded
-    runs, then the wires the merge writes, after every wire written so
-    far."""
-    false = array("i", [n])
-    # Runs are kept ascending, the order the merge programs work in. Ties
-    # go to the older run: input runs by their first wire, below n, then
-    # merged runs in the order they were made.
+    def comparator(x: int, y: int) -> list[int]:
+        """Appends a step; returns the wires it writes, (lo, hi)."""
+        xs.append(x)
+        ys.append(y)
+        hi = n - 1 + 2 * len(xs)
+        return [hi + 1, hi]
+
+    def merge(a: list[int], b: list[int]) -> list[int]:
+        """Batcher's odd-even merge of two ascending runs of the same
+        power-of-two length; returns the ascending output wires."""
+        if len(a) == 1:
+            return comparator(a[0], b[0])
+        even = merge(a[0::2], b[0::2])
+        odd = merge(a[1::2], b[1::2])
+        out = [even[0]]
+        for i in range(1, len(a)):
+            out += comparator(odd[i - 1], even[i])
+        out.append(odd[-1])
+        return out
+
+    # Runs are kept ascending, the order merge works in. Ties go to the
+    # older run: input runs by their first wire, below n, then merged runs
+    # in the order they were made.
     heap = [
-        (min(run, n - k), k, array("i", range(min(k + run, n) - 1, k - 1, -1)))
+        (min(run, n - k), k, list(range(min(k + run, n) - 1, k - 1, -1)))
         for k in range(0, n, run)
     ]
     heapq.heapify(heap)
     order = n
-    xs, ys = array("i"), array("i")
     while len(heap) > 1:
         (na, _, a), (nb, _, b) = heapq.heappop(heap), heapq.heappop(heap)
         size = 1 << (max(na, nb) - 1).bit_length()
-        merge_xs, merge_ys, merge_outs = _merge_program(size)
-        top = n + 1 + 2 * len(xs)
-        wire = (
-            false * (size - na) + a + false * (size - nb) + b
-            + array("i", range(top, top + 2 * len(merge_xs)))
-        ).__getitem__
-        xs.extend(map(wire, merge_xs))
-        ys.extend(map(wire, merge_ys))
-        merged = array("i", map(wire, merge_outs[2 * size - na - nb:]))
-        heapq.heappush(heap, (na + nb, order, merged))
+        merged = merge([n] * (size - na) + a, [n] * (size - nb) + b)
+        heapq.heappush(heap, (na + nb, order, merged[2 * size - na - nb:]))
         order += 1
-    outs = heap[0][2][::-1] if heap else array("i")
+    outs = array("i", heap[0][2][::-1] if heap else ())
     return xs, ys, outs
-
-
-@functools.cache
-def _merge_program(size: int) -> Program:
-    """Batcher's odd-even merge of two ascending runs of ``size`` wires (a
-    power of two): wires 0..size-1 hold the first run and size..2*size-1
-    the second. Step k reads wires (xs[k], ys[k]) and writes wire
-    2*size + 2k (their OR, hi) and the wire after it (their AND, lo);
-    ``outs`` lists the output wires in ascending order.
-
-    A merge runs the half-size merge on the even wires of both runs, then
-    on the odd wires, then compares odd output i-1 with even output i."""
-    if size == 1:
-        return array("i", [0]), array("i", [1]), array("i", [3, 2])
-    half_xs, half_ys, half_outs = _merge_program(size // 2)
-    written = 2 * len(half_xs)
-    xs, ys, merged = array("i"), array("i"), []
-    for parity in (0, 1):
-        top = 2 * size + parity * written
-        wire = (
-            array("i", range(parity, size, 2))
-            + array("i", range(size + parity, 2 * size, 2))
-            + array("i", range(top, top + written))
-        ).__getitem__
-        xs.extend(map(wire, half_xs))
-        ys.extend(map(wire, half_ys))
-        merged.append(array("i", map(wire, half_outs)))
-    even, odd = merged
-    xs += odd[:-1]
-    ys += even[1:]
-    top = 2 * size + 2 * written
-    # The last comparators write (hi, lo) pairs; the outputs take lo first.
-    pairs = array("i", range(top, top + 2 * (size - 1)))
-    pairs[0::2], pairs[1::2] = pairs[1::2], pairs[0::2]
-    return xs, ys, even[:1] + pairs + odd[-1:]

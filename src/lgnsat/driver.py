@@ -16,17 +16,19 @@ from fractions import Fraction
 
 from . import solver as sat
 from .encoder import ATTAINABLE, PropertyQuery, build_query
-from .errors import DataError, EncodingConsistencyError
+from .errors import DataError, EncodingConsistencyError, QueryBuildError
 from .evaluator import (
     COUNTEREXAMPLE,
+    FAIR,
     HOLDS,
+    ROBUST,
     UNKNOWN,
     InputRecord,
     Verdict,
     VerdictStats,
     Witness,
-    check_phi,
     forward,
+    phi_on_values,
     predict,
 )
 from .netlist import Netlist
@@ -98,7 +100,10 @@ def verify_at(
 ) -> Verdict:
     """One fixed-threshold query: Holds on UNSAT, Counterexample (with the
     decoded pair, rechecked: the classes differ and the similarity
-    predicate holds) on SAT, Unknown on timeout."""
+    predicate holds) on SAT, Unknown on timeout. ``mode`` is fair or
+    robust; anything else is a QueryBuildError before any solve."""
+    if mode not in (FAIR, ROBUST):
+        raise QueryBuildError(f"verify_at needs mode {FAIR!r} or {ROBUST!r}, got {mode!r}")
     query = PropertyQuery(mode, eps, Fraction(kappa))
     status, records, stats = _solve(netlist, schema, query, config)
     if records is None:
@@ -107,7 +112,7 @@ def verify_at(
     x, xp = records
     if x.cls == xp.cls:
         raise EncodingConsistencyError(f"decoded pair predicts the same class {x.cls}")
-    if not check_phi(x.bits, xp.bits, schema, eps, mode):
+    if not phi_on_values(x.values, xp.values, schema, eps, mode):
         raise EncodingConsistencyError("decoded pair violates the similarity predicate")
     return Verdict(COUNTEREXAMPLE, query.kappa, Witness(x, xp), stats)
 

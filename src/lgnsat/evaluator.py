@@ -31,16 +31,6 @@ UNKNOWN = "unknown"
 FAIR = "fair"
 ROBUST = "robust"
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-class popcounts of the output blocks."""
-
-    scores: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.scores)
-
 
 @dataclass(frozen=True)
 class InputRecord:
@@ -154,17 +144,17 @@ def forward(netlist: Netlist, input_bits) -> list[int]:
     return [w & 1 for w in _output_words(netlist, [input_bits])]
 
 
-def winner_of(scores: ScoreVector) -> int:
+def winner_of(scores: tuple[int, ...]) -> int:
     """Smallest class index attaining the maximal score (class 0 when all
     scores are zero)."""
-    best = max(scores.scores)
-    return scores.scores.index(best)
+    return scores.index(max(scores))
 
 
-def confidence_of(scores: ScoreVector, num_classes: int) -> Fraction:
-    if scores.total == 0:
+def confidence_of(scores: tuple[int, ...], num_classes: int) -> Fraction:
+    total = sum(scores)
+    if total == 0:
         return Fraction(1, num_classes)
-    return Fraction(scores.scores[winner_of(scores)], scores.total)
+    return Fraction(scores[winner_of(scores)], total)
 
 
 def class_scores(netlist: Netlist, rows) -> list[tuple[int, ...]]:
@@ -176,13 +166,15 @@ def class_scores(netlist: Netlist, rows) -> list[tuple[int, ...]]:
     return list(zip(*(_popcounts(block, len(rows)) for block in blocks)))
 
 
-def predict_batch(netlist: Netlist, rows) -> list[tuple[int, ScoreVector, Fraction]]:
+def predict_batch(netlist: Netlist, rows) -> list[tuple[int, tuple[int, ...], Fraction]]:
     """``predict`` for every row of a list, evaluated together bit-sliced."""
-    scores = map(ScoreVector, class_scores(netlist, rows))
-    return [(winner_of(s), s, confidence_of(s, netlist.num_classes)) for s in scores]
+    return [
+        (winner_of(s), s, confidence_of(s, netlist.num_classes))
+        for s in class_scores(netlist, rows)
+    ]
 
 
-def predict(netlist: Netlist, input_bits) -> tuple[int, ScoreVector, Fraction]:
+def predict(netlist: Netlist, input_bits) -> tuple[int, tuple[int, ...], Fraction]:
     """Predicted class, block scores, and exact confidence for one input."""
     return predict_batch(netlist, [input_bits])[0]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DataError
-from .evaluator import class_scores
+from .evaluator import class_scores, winner_of
 from .netlist import Netlist
 from .schema import CategoricalFeature, FeatureSchema, NumericFeature
 
@@ -68,8 +68,6 @@ def encode_row(schema: FeatureSchema, raw_values) -> tuple[int, ...]:
                 cat = int(raw)
             except (TypeError, ValueError):
                 raise DataError(f"feature {f.name!r}: unknown category {raw!r}")
-            if not 0 <= cat < f.arity:
-                raise DataError(f"feature {f.name!r}: unknown category {cat}")
             buckets.append(cat)
     return schema.encode_values(buckets)
 
@@ -129,9 +127,8 @@ def accuracy(netlist: Netlist, dataset: Dataset) -> Fraction:
             raise DataError(
                 f"row {lineno}: label {label} outside 0..{netlist.num_classes - 1}"
             )
-    # The winner is the first class with the top score, as in winner_of.
     hits = sum(
-        s.index(max(s)) == label
+        winner_of(s) == label
         for s, (_, label) in zip(class_scores(netlist, dataset.bits), dataset.rows)
     )
     return Fraction(hits, len(dataset.rows))

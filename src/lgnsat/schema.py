@@ -124,45 +124,40 @@ class FeatureSchema:
 
     # -- bit-pattern validity (shared by encoder and ingest) ---------------
 
-    def decode_bits(self, bits) -> tuple[int, ...]:
-        """Bit vector -> per-feature values (bucket index / category index).
-
-        Raises DataError on width mismatch, non-monotone thermometer bits, or
-        one-hot blocks without exactly one bit set.
-        """
-        if len(bits) != self.width:
-            raise DataError(f"expected {self.width} bits, got {len(bits)}")
-        values = []
-        for f, (start, end) in zip(self.features, self.bit_ranges()):
-            block = [int(b) for b in bits[start:end]]
-            if isinstance(f, NumericFeature):
-                v = sum(block)
-                if block != [1] * v + [0] * (f.bits - v):
-                    raise DataError(
-                        f"feature {f.name!r}: bits {''.join(map(str, block))} "
-                        "are not a thermometer pattern"
-                    )
-                values.append(v)
-            else:
-                if sum(block) != 1:
-                    raise DataError(
-                        f"feature {f.name!r}: bits {''.join(map(str, block))} "
-                        "are not one-hot"
-                    )
-                values.append(block.index(1))
-        return tuple(values)
-
     @cached_property
     def _bit_patterns(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Per feature, the bit pattern of each of its values, indexed by the
         value: thermometer patterns for buckets 0..bits, one-hot patterns for
-        categories 0..arity-1. Built once per schema."""
+        categories 0..arity-1. Built once per schema; the only valid blocks."""
         return tuple(
             tuple((1,) * v + (0,) * (f.bits - v) for v in range(f.bits + 1))
             if isinstance(f, NumericFeature)
             else tuple((0,) * v + (1,) + (0,) * (f.arity - 1 - v) for v in range(f.arity))
             for f in self.features
         )
+
+    def decode_bits(self, bits) -> tuple[int, ...]:
+        """Bit vector -> per-feature values (bucket index / category index).
+
+        Raises DataError on width mismatch or a block that is not one of its
+        feature's patterns: non-monotone thermometer bits, or a one-hot block
+        without exactly one bit set.
+        """
+        if len(bits) != self.width:
+            raise DataError(f"expected {self.width} bits, got {len(bits)}")
+        values = []
+        for f, patterns, (start, end) in zip(
+            self.features, self._bit_patterns, self.bit_ranges()
+        ):
+            block = tuple(map(int, bits[start:end]))
+            try:
+                values.append(patterns.index(block))
+            except ValueError:
+                kind = "a thermometer pattern" if isinstance(f, NumericFeature) else "one-hot"
+                raise DataError(
+                    f"feature {f.name!r}: bits {''.join(map(str, block))} are not {kind}"
+                ) from None
+        return tuple(values)
 
     def encode_values(self, values) -> tuple[int, ...]:
         """Per-feature values (bucket/category indices) -> bit vector."""

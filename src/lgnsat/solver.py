@@ -22,6 +22,7 @@ as network inputs and rechecks it on the concrete network.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -45,6 +46,8 @@ BUILTIN_SOLVER = str(Path(__file__).with_name("cdcl.py"))
 
 # Exit code -> the verdict it gives and the status line that must come with it.
 _STATUS_LINES = {10: (SAT, "s SATISFIABLE"), 20: (UNSAT, "s UNSATISFIABLE")}
+# A DIMACS literal: int() would also take "+1", "1_0" and non-ASCII digits.
+_LITERAL = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -111,10 +114,9 @@ def _parse_model(stdout: str, num_vars: int) -> tuple[bool, ...]:
         if not line.startswith("v"):
             continue
         for tok in line[1:].split():
-            try:
-                lit = int(tok)
-            except ValueError:
+            if not _LITERAL.fullmatch(tok):
                 raise SolverOutputError(f"model token {tok!r} is not an integer")
+            lit = int(tok)
             if lit == 0:
                 saw_end = True
                 break

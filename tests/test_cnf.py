@@ -457,7 +457,6 @@ def test_program_cache_memory():
     # Comparator programs are int arrays: cached, the four benchmark sorts
     # hold under 1 MB, and tracing them peaks under 2 MB.
     cnf._sort_program.cache_clear()
-    cnf._merge_program.cache_clear()
     tracemalloc.start()
     try:
         programs = [cnf._sort_program(n, run) for n, run in BENCHMARK_SORTS]

@@ -15,7 +15,7 @@ from helpers import (
 from lgnsat import driver, solver
 from lgnsat.driver import check_attainable, search_min_kappa, sweep, verify_at
 from lgnsat.encoder import ATTAINABLE, PropertyQuery, build_query
-from lgnsat.errors import EncodingConsistencyError
+from lgnsat.errors import EncodingConsistencyError, QueryBuildError
 from lgnsat.evaluator import (
     COUNTEREXAMPLE,
     FAIR,
@@ -63,6 +63,17 @@ class TestVerifyAt:
                 expected = brute_force_verify(net, schema, mode, eps, kappa).status
                 got = verify_at(net, schema, mode, eps, kappa, solver_config).status
                 assert got == expected, (seed, mode, eps, kappa)
+
+    @pytest.mark.parametrize("mode", [ATTAINABLE, "nearby"])
+    @pytest.mark.parametrize("kappa", [Fraction(0), Fraction(1, 2), Fraction(1)])
+    def test_only_fair_or_robust(self, monkeypatch, flip_net, flip_schema, mode, kappa):
+        answer(monkeypatch)  # no replies: a solve would raise StopIteration
+        with pytest.raises(QueryBuildError, match="fair.*robust"):
+            verify_at(flip_net, flip_schema, mode, 0, kappa)
+        with pytest.raises(QueryBuildError):
+            search_min_kappa(flip_net, flip_schema, mode, 0)
+        with pytest.raises(QueryBuildError):
+            sweep(flip_net, flip_schema, mode, 0, [kappa])
 
 
 class TestSearchMinKappa:
@@ -182,7 +193,7 @@ class TestAttainable:
         for values in enumerate_inputs(schema):
             bits = schema.encode_values(values)
             _, scores, conf = predict(net, bits)
-            if scores.total > 0:
+            if sum(scores) > 0:
                 confs.append(conf)
         for kappa in (Fraction(1, 2), Fraction(3, 4), Fraction(9, 10), Fraction(1)):
             expected = any(c > kappa for c in confs)

@@ -26,7 +26,7 @@ from lgnsat.encoder import (
     emit_winning,
 )
 from lgnsat.errors import QueryBuildError
-from lgnsat.evaluator import ScoreVector, confidence_of, winner_of
+from lgnsat.evaluator import confidence_of, winner_of
 from lgnsat.netlist import random_netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 
@@ -163,7 +163,7 @@ class TestWinning:
             got = self.winners_for(scores, block_size)
             assert got is not None, scores
             assert sum(got) == 1, scores
-            assert got.index(1) == winner_of(ScoreVector(scores)), scores
+            assert got.index(1) == winner_of(scores), scores
 
 
 def _descending_block(rng: random.Random, width: int, pool) -> tuple:
@@ -225,7 +225,7 @@ class TestDiffClass:
                 for blk, score in zip(blocks + blocks2, s1 + s2):
                     for v, x in zip(blk, thermometer(2, score)):
                         assumptions[v] = bool(x)
-                expected = winner_of(ScoreVector(s1)) != winner_of(ScoreVector(s2))
+                expected = winner_of(s1) != winner_of(s2)
                 assert bcp_satisfiable(f, assumptions) == expected, (s1, s2)
 
 
@@ -257,15 +257,14 @@ class TestConfidence:
     @pytest.mark.parametrize("block_size", [1, 2, 3])
     def test_exhaustive_against_score_ratio(self, block_size):
         for scores in itertools.product(range(block_size + 1), repeat=2):
-            sv = ScoreVector(scores)
             for k in range(9):
                 kappa = Fraction(k, 8)
                 got = self.satisfiable_at(scores, block_size, kappa)
-                if sv.total == 0:
+                if sum(scores) == 0:
                     # all-zero output: the bare constraint is vacuous
                     assert got
                 else:
-                    assert got == (confidence_of(sv, 2) > kappa), (scores, kappa)
+                    assert got == (confidence_of(scores, 2) > kappa), (scores, kappa)
 
     def test_monotone_in_kappa(self):
         for scores in itertools.product(range(3), repeat=2):

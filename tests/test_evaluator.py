@@ -22,7 +22,6 @@ from lgnsat.evaluator import (
     FAIR,
     HOLDS,
     ROBUST,
-    ScoreVector,
     check_phi,
     confidence_of,
     forward,
@@ -79,31 +78,29 @@ class TestPredict:
         net = const_block_net([150, 1], 2, 151)
         cls, scores, conf = predict(net, [0, 0])
         assert cls == 0
-        assert scores.scores == (150, 1)
+        assert scores == (150, 1)
         assert conf == Fraction(150, 151)
 
     def test_tie_goes_to_lower_index(self):
-        assert winner_of(ScoreVector((2, 2, 1))) == 0
-        assert confidence_of(ScoreVector((2, 2, 1)), 3) == Fraction(2, 5)
+        assert winner_of((2, 2, 1)) == 0
+        assert confidence_of((2, 2, 1), 3) == Fraction(2, 5)
 
     def test_all_zero_is_degenerate(self):
         net = const_block_net([0, 0], 2, 1)
         cls, scores, conf = predict(net, [0, 0])
         assert cls == 0
-        assert scores.total == 0
+        assert scores == (0, 0)
         assert conf == Fraction(1, 2)
 
     @given(st.lists(st.integers(0, 5), min_size=2, max_size=5))
     def test_winner_is_min_index_argmax(self, scores):
-        sv = ScoreVector(tuple(scores))
-        w = winner_of(sv)
+        w = winner_of(tuple(scores))
         assert all(scores[w] >= s for s in scores)
         assert all(w <= j for j, s in enumerate(scores) if s == scores[w])
 
     @given(st.lists(st.integers(0, 5), min_size=2, max_size=5))
     def test_confidence_bounds(self, scores):
-        sv = ScoreVector(tuple(scores))
-        conf = confidence_of(sv, len(scores))
+        conf = confidence_of(tuple(scores), len(scores))
         assert Fraction(1, len(scores)) <= conf <= 1
 
 
@@ -137,7 +134,7 @@ class TestBatchEvaluation:
         got = predict_batch(net, rows)
         assert len(got) == len(rows)
         for bits, (cls, scores, conf) in zip(rows, got):
-            assert (cls, scores.scores, conf) == reference_prediction(net, bits)
+            assert (cls, scores, conf) == reference_prediction(net, bits)
             assert forward(net, bits) == interpret(net, bits)
 
     @pytest.mark.parametrize("num_classes,block_size", [(2, 8), (3, 6)])
@@ -162,7 +159,7 @@ class TestBatchEvaluation:
         net = Netlist(2, (((12, input_ref(0), input_ref(0)),
                            (12, input_ref(1), input_ref(1))),), 2, 1)
         rows = [(0, 0), (1, 1), (0, 1), (1, 0)] * 17
-        got = [(cls, s.scores, conf) for cls, s, conf in predict_batch(net, rows)]
+        got = predict_batch(net, rows)
         expected = {
             (0, 0): (0, (0, 0), Fraction(1, 2)),
             (1, 1): (0, (1, 1), Fraction(1, 2)),
@@ -175,10 +172,10 @@ class TestBatchEvaluation:
         zero = const_block_net([0, 0, 0], 3, 2)
         tie = const_block_net([2, 2, 1], 3, 2)
         rows = [(r & 1, r >> 1 & 1) for r in range(65)]
-        assert {(c, s.scores, f) for c, s, f in predict_batch(zero, rows)} == {
+        assert set(predict_batch(zero, rows)) == {
             (0, (0, 0, 0), Fraction(1, 3))
         }
-        assert {(c, s.scores, f) for c, s, f in predict_batch(tie, rows)} == {
+        assert set(predict_batch(tie, rows)) == {
             (0, (2, 2, 1), Fraction(2, 5))
         }
 

@@ -325,8 +325,8 @@ class TestAccuracy:
             hits = sum(p[0] == label for p, (_, label) in zip(predictions, rows))
             assert accuracy(net, Dataset(schema, rows)) == Fraction(hits, len(rows))
             for cls, scores, _ in predictions:
-                top = max(scores.scores)
-                tie_winners[cls] += top > 0 and scores.scores.count(top) > 1
+                top = max(scores)
+                tie_winners[cls] += top > 0 and scores.count(top) > 1
         zero_hits = sum(label == 0 for _, label in rows)
         assert accuracy(zero, Dataset(schema, rows)) == Fraction(zero_hits, len(rows))
         assert tie_winners[0] > 0 and (num_classes == 2 or tie_winners[1] > 0)

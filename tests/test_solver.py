@@ -283,6 +283,11 @@ class TestOutputParsing:
         with pytest.raises(SolverOutputError, match="'x'"):
             solve(trivial_sat(), config)
 
+    @pytest.mark.parametrize("token", ["\u0661", "1_0", "+1"])
+    def test_model_token_not_ascii_digits_rejected(self, token):
+        with pytest.raises(SolverOutputError, match="is not an integer"):
+            solver_module._parse_model(f"v {token} 0\n", 10)
+
     def test_unexpected_exit_code_is_unknown(self, tmp_path):
         config = self.fake_solver(tmp_path, "exit 7\n")
         outcome = solve(trivial_sat(), config)
