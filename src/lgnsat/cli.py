@@ -5,6 +5,10 @@ progress on stderr. Exit codes are a total function of the outcome:
 0 holds/ok, 1 counterexample (or not attainable), 2 invalid input,
 3 usage/environment problems, 4 unknown (timeout).
 
+``main`` owns the report: each ``cmd_*`` returns its inputs, its result,
+its exit code and its stderr line, and ``main`` writes the report (or the
+error report of invalid input), the line and the code.
+
 ``search-kappa`` reports the bracket ``[kappa_lower, kappa_star]`` around
 the minimal safe threshold; ``--tol 0`` closes it to the exact value.
 """
@@ -64,20 +68,6 @@ def _frac(value: Fraction) -> dict:
     return {"exact": str(value), "float": float(value)}
 
 
-def _report(args, inputs: dict, result: dict) -> dict:
-    return {
-        "tool": {"name": "lgnsat", "version": __version__},
-        "command": list(args.argv),
-        "inputs": inputs,
-        "result": result,
-    }
-
-
-def emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
 def _read_inputs(args, *roles: str) -> tuple[dict, list[bytes]]:
     """Read each named input file once. Returns the report's ``inputs``
     entry (path and the sha256 of the bytes read, per role) and the bytes,
@@ -89,6 +79,14 @@ def _read_inputs(args, *roles: str) -> tuple[dict, list[bytes]]:
         inputs[role] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
         data.append(raw)
     return inputs, data
+
+
+def _load(args, *extra: str):
+    """Read and hash the netlist, the schema and any ``extra`` input roles,
+    then parse the netlist and schema. Returns the report's ``inputs``, the
+    netlist, the schema and the bytes of each extra role."""
+    inputs, (net_data, schema_data, *rest) = _read_inputs(args, "netlist", "schema", *extra)
+    return inputs, parse_netlist(net_data), parse_schema(schema_data), *rest
 
 
 def _solver_config(args) -> SolverConfig:
@@ -138,25 +136,25 @@ def _probe_json(verdict) -> dict:
 
 
 # -- commands ----------------------------------------------------------------
+# Each command returns (inputs, result, exit code, stderr line) for main.
+
+Outcome = tuple[dict, dict, int, str]
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> Outcome:
     roles = ("netlist", "schema") if args.schema else ("netlist",)
     inputs, (net_data, *schema_data) = _read_inputs(args, *roles)
     netlist = parse_netlist(net_data, run_validation=False)
     schema = parse_schema(schema_data[0]) if schema_data else None
     report = validate(netlist, schema)
-    emit(_report(args, inputs, {"ok": report.ok, "violations": list(report.violations)}))
+    result = {"ok": report.ok, "violations": list(report.violations)}
     if report.ok:
-        log("validate: ok")
-        return EXIT_HOLDS
-    log(f"validate: {len(report.violations)} violation(s)")
-    return EXIT_INVALID_INPUT
+        return inputs, result, EXIT_HOLDS, "validate: ok"
+    return inputs, result, EXIT_INVALID_INPUT, f"validate: {len(report.violations)} violation(s)"
 
 
-def cmd_verify(args) -> int:
-    inputs, (net_data, schema_data) = _read_inputs(args, "netlist", "schema")
-    netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
+def cmd_verify(args) -> Outcome:
+    inputs, netlist, schema = _load(args)
     kappa = Fraction(args.kappa)
     verdict = verify_at(netlist, schema, args.mode, args.eps, kappa, _solver_config(args))
     result = {
@@ -167,14 +165,12 @@ def cmd_verify(args) -> int:
         "stats": _stats_json(verdict.stats),
         "witness": _witness_json(schema, verdict.witness) if verdict.witness else None,
     }
-    emit(_report(args, inputs, result))
-    log(f"verify: {verdict.status} at kappa={kappa} ({args.mode}, eps={args.eps})")
-    return _STATUS_EXIT[verdict.status]
+    message = f"verify: {verdict.status} at kappa={kappa} ({args.mode}, eps={args.eps})"
+    return inputs, result, _STATUS_EXIT[verdict.status], message
 
 
-def cmd_search_kappa(args) -> int:
-    inputs, (net_data, schema_data) = _read_inputs(args, "netlist", "schema")
-    netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
+def cmd_search_kappa(args) -> Outcome:
+    inputs, netlist, schema = _load(args)
     config = _solver_config(args)
     tolerance = Fraction(args.tol)
     result = search_min_kappa(netlist, schema, args.mode, args.eps, tolerance, config)
@@ -190,18 +186,16 @@ def cmd_search_kappa(args) -> int:
         "total_time_s": round(result.total_time, 6),
         "probes": [_probe_json(q) for q in result.queries],
     }
-    emit(_report(args, inputs, payload))
-    log(
+    message = (
         f"search-kappa: kappa* in [{result.kappa_lower}, {result.kappa_star}] "
         f"(attainable={attainable}, {len(result.queries)} probes, "
         f"{result.total_time:.3f}s total)"
     )
-    return EXIT_HOLDS if result.converged else EXIT_UNKNOWN
+    return inputs, payload, EXIT_HOLDS if result.converged else EXIT_UNKNOWN, message
 
 
-def cmd_sweep(args) -> int:
-    inputs, (net_data, schema_data) = _read_inputs(args, "netlist", "schema")
-    netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
+def cmd_sweep(args) -> Outcome:
+    inputs, netlist, schema = _load(args)
     kappas = [Fraction(k) for k in args.kappas.split(",") if k.strip()]
     rows = sweep(netlist, schema, args.mode, args.eps, kappas, _solver_config(args))
     payload = {
@@ -209,27 +203,26 @@ def cmd_sweep(args) -> int:
         "eps": args.eps,
         "rows": [_probe_json(r) for r in rows],
     }
-    emit(_report(args, inputs, payload))
-    for r in rows:
-        log(f"sweep: kappa={r.kappa} -> {r.status} ({r.stats.wall_time:.3f}s)")
-    return EXIT_UNKNOWN if any(r.status == UNKNOWN for r in rows) else EXIT_HOLDS
+    message = "\n".join(
+        f"sweep: kappa={r.kappa} -> {r.status} ({r.stats.wall_time:.3f}s)" for r in rows
+    )
+    code = EXIT_UNKNOWN if any(r.status == UNKNOWN for r in rows) else EXIT_HOLDS
+    return inputs, payload, code, message
 
 
-def cmd_attainable(args) -> int:
-    inputs, (net_data, schema_data) = _read_inputs(args, "netlist", "schema")
-    netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
+def cmd_attainable(args) -> Outcome:
+    inputs, netlist, schema = _load(args)
     kappa = Fraction(args.kappa)
     attainable = check_attainable(netlist, schema, kappa, _solver_config(args))
-    emit(_report(args, inputs, {"kappa": _frac(kappa), "attainable": attainable}))
-    log(f"attainable at kappa={kappa}: {attainable}")
-    if attainable is None:
-        return EXIT_UNKNOWN
-    return EXIT_HOLDS if attainable else EXIT_COUNTEREXAMPLE
+    code = EXIT_UNKNOWN if attainable is None else (
+        EXIT_HOLDS if attainable else EXIT_COUNTEREXAMPLE
+    )
+    result = {"kappa": _frac(kappa), "attainable": attainable}
+    return inputs, result, code, f"attainable at kappa={kappa}: {attainable}"
 
 
-def cmd_encode(args) -> int:
-    inputs, (net_data, schema_data) = _read_inputs(args, "netlist", "schema")
-    netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
+def cmd_encode(args) -> Outcome:
+    inputs, netlist, schema = _load(args)
     query = PropertyQuery(args.mode, args.eps, Fraction(args.kappa))
     formula, varmap = build_query(netlist, schema, query)
     dimacs = to_dimacs(formula)
@@ -245,12 +238,11 @@ def cmd_encode(args) -> int:
     if args.varmap:
         Path(args.varmap).write_text(varmap.sidecar())
         result["varmap_path"] = args.varmap
-    emit(_report(args, inputs, result))
-    log(f"encode: wrote {formula.num_vars} vars / {len(formula.clauses)} clauses")
-    return EXIT_HOLDS
+    message = f"encode: wrote {formula.num_vars} vars / {len(formula.clauses)} clauses"
+    return inputs, result, EXIT_HOLDS, message
 
 
-def cmd_gen_random(args) -> int:
+def cmd_gen_random(args) -> Outcome:
     layer_sizes = [int(s) for s in args.layers.split(",") if s.strip()]
     netlist = random_netlist(
         args.input_width, layer_sizes, args.classes, args.block_size, args.seed
@@ -263,14 +255,11 @@ def cmd_gen_random(args) -> int:
         "seed": args.seed,
         "num_gates": netlist.num_gates,
     }
-    emit(_report(args, {}, result))
-    log(f"gen-random: wrote {args.output} ({netlist.num_gates} gates)")
-    return EXIT_HOLDS
+    return {}, result, EXIT_HOLDS, f"gen-random: wrote {args.output} ({netlist.num_gates} gates)"
 
 
-def cmd_eval(args) -> int:
-    inputs, (net_data, schema_data) = _read_inputs(args, "netlist", "schema")
-    netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
+def cmd_eval(args) -> Outcome:
+    inputs, netlist, schema = _load(args)
     if (args.row is None) == (args.bits is None):
         raise QueryBuildError("eval needs exactly one of --row or --bits")
     if args.row is not None:
@@ -290,22 +279,15 @@ def cmd_eval(args) -> int:
         # All-zero outputs have no defined score ratio; 1/C is a convention.
         "degenerate_confidence": sum(scores) == 0,
     }
-    emit(_report(args, inputs, result))
-    log(f"eval: class={cls} confidence={conf}")
-    return EXIT_HOLDS
+    return inputs, result, EXIT_HOLDS, f"eval: class={cls} confidence={conf}"
 
 
-def cmd_accuracy(args) -> int:
-    inputs, (net_data, schema_data, csv_data) = _read_inputs(
-        args, "netlist", "schema", "csv"
-    )
-    netlist, schema = parse_netlist(net_data), parse_schema(schema_data)
+def cmd_accuracy(args) -> Outcome:
+    inputs, netlist, schema, csv_data = _load(args, "csv")
     dataset = load_csv(schema, csv_data.decode("utf-8-sig"), label_col=args.label_col)
     acc = accuracy(netlist, dataset)
     result = {"rows": len(dataset.rows), "accuracy": _frac(acc)}
-    emit(_report(args, inputs, result))
-    log(f"accuracy: {float(acc):.4f} over {len(dataset.rows)} rows")
-    return EXIT_HOLDS
+    return inputs, result, EXIT_HOLDS, f"accuracy: {float(acc):.4f} over {len(dataset.rows)} rows"
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -319,7 +301,6 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_query_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--schema", "-s", required=True, help="feature schema file")
     p.add_argument("--mode", choices=["fair", "robust"], required=True)
     p.add_argument("--eps", type=int, default=0, help="numeric tolerance (bit flips)")
 
@@ -334,46 +315,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"lgnsat {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("validate", help="check netlist (and schema) invariants")
-    p.add_argument("netlist")
-    p.add_argument("--schema", "-s", default=None)
-    p.set_defaults(func=cmd_validate)
+    def command(name, func, help, schema_required=True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("netlist")
+        p.add_argument("--schema", "-s", required=schema_required, help="feature schema file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", help="decide one fixed-threshold query")
-    p.add_argument("netlist")
+    command("validate", cmd_validate, "check netlist (and schema) invariants", False)
+
+    p = command("verify", cmd_verify, "decide one fixed-threshold query")
     _add_query_args(p)
     p.add_argument("--kappa", required=True, help="threshold, e.g. 1/2 or 0.99")
     _add_solver_args(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("search-kappa", help="search the minimal safe threshold")
-    p.add_argument("netlist")
+    p = command("search-kappa", cmd_search_kappa, "search the minimal safe threshold")
     _add_query_args(p)
     p.add_argument("--tol", default=DEFAULT_TOLERANCE, help="bracket width (0 = exact)")
     _add_solver_args(p)
-    p.set_defaults(func=cmd_search_kappa)
 
-    p = sub.add_parser("sweep", help="verify across a list of thresholds")
-    p.add_argument("netlist")
+    p = command("sweep", cmd_sweep, "verify across a list of thresholds")
     _add_query_args(p)
     p.add_argument("--kappas", required=True, help="comma list, e.g. 0.5,0.75,0.99")
     _add_solver_args(p)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("attainable", help="does any input exceed the threshold?")
-    p.add_argument("netlist")
-    p.add_argument("--schema", "-s", required=True)
+    p = command("attainable", cmd_attainable, "does any input exceed the threshold?")
     p.add_argument("--kappa", required=True)
     _add_solver_args(p)
-    p.set_defaults(func=cmd_attainable)
 
-    p = sub.add_parser("encode", help="emit the DIMACS CNF for a query")
-    p.add_argument("netlist")
+    p = command("encode", cmd_encode, "emit the DIMACS CNF for a query")
     _add_query_args(p)
     p.add_argument("--kappa", required=True)
     p.add_argument("--output", "-o", required=True, help="DIMACS output path")
     p.add_argument("--varmap", default=None, help="variable-map sidecar path")
-    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("gen-random", help="generate a random netlist")
     p.add_argument("--input-width", "-d", type=int, required=True)
@@ -384,43 +358,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_gen_random)
 
-    p = sub.add_parser("eval", help="predict one row")
-    p.add_argument("netlist")
-    p.add_argument("--schema", "-s", required=True)
+    p = command("eval", cmd_eval, "predict one row")
     p.add_argument("--row", default=None, help="comma list of raw feature values")
     p.add_argument("--bits", default=None, help="explicit 0/1 input bit string")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("accuracy", help="dataset accuracy of a netlist")
-    p.add_argument("netlist")
-    p.add_argument("--schema", "-s", required=True)
+    p = command("accuracy", cmd_accuracy, "dataset accuracy of a netlist")
     p.add_argument("--csv", required=True)
     p.add_argument("--label-col", default="label")
-    p.set_defaults(func=cmd_accuracy)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command: its report goes to stdout, its line to stderr, and
+    its exit code is returned. Invalid input gets an error report; a usage
+    error gets none."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.argv = argv
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        inputs, result, code, message = args.func(args)
+        body = {"inputs": inputs, "result": result}
     except _INVALID_INPUT_ERRORS as exc:
-        emit(
-            {
-                "tool": {"name": "lgnsat", "version": __version__},
-                "command": argv,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            }
-        )
-        log(f"error: {exc}")
-        return EXIT_INVALID_INPUT
+        body = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        code, message = EXIT_INVALID_INPUT, f"error: {exc}"
     except _USAGE_ERRORS as exc:
         log(f"error: {exc}")
         return EXIT_USAGE
+    report = {"tool": {"name": "lgnsat", "version": __version__}, "command": argv, **body}
+    print(json.dumps(report, indent=2))
+    log(message)
+    return code
 
 
 if __name__ == "__main__":
