@@ -86,7 +86,9 @@ class Solver:
         self.trail, self.trail_lim, self.qhead = [], [], 0
         # Lazy max-heap of (-activity, var): every free variable has an
         # entry carrying its current activity; other entries are stale.
+        # newest[v] is the activity of v's newest entry, None once popped.
         self.heap = [(0.0, v) for v in range(1, n + 1)]
+        self.newest = [0.0] * (n + 1)
         self.learnts = []  # (lbd, clause)
         self.max_learnts = max(len(clauses) / 3, 1000)
         self.conflicts = self.decisions = self.propagations = self.restarts = 0
@@ -125,6 +127,7 @@ class Solver:
         literal at c[0].
         """
         value, watches, trail = self.value, self.watches, self.trail
+        level, reason, current = self.level, self.reason, len(self.trail_lim)
         while self.qhead < len(trail):
             false_lit = trail[self.qhead] ^ 1
             self.qhead += 1
@@ -150,7 +153,9 @@ class Solver:
                         kept.extend(ws[i + 1:])
                         self.qhead = len(trail)
                         return c
-                    self.assign(first, c)
+                    value[first], value[first ^ 1] = 1, -1
+                    level[first >> 1], reason[first >> 1] = current, c
+                    trail.append(first)
         return None
 
     def analyze(self, confl):
@@ -206,17 +211,22 @@ class Solver:
         act, value = self.activity, self.value
         self.heap = [(-act[v], v) for v in range(1, self.num_vars + 1) if value[2 * v] == 0]
         heapq.heapify(self.heap)
+        self.newest = [a if value[2 * v] == 0 else None for v, a in enumerate(act)]
 
     def backtrack(self, target):
         if len(self.trail_lim) <= target:
             return
         start = self.trail_lim[target]
-        value, phase, act, heap = self.value, self.phase, self.activity, self.heap
+        value, phase, act, heap, newest = (
+            self.value, self.phase, self.activity, self.heap, self.newest
+        )
         for lit in self.trail[start:]:
             v = lit >> 1
             value[lit] = value[lit ^ 1] = 0
             phase[v] = lit & 1
-            heapq.heappush(heap, (-act[v], v))
+            if newest[v] != act[v]:  # its newest entry is stale or popped
+                heapq.heappush(heap, (-act[v], v))
+                newest[v] = act[v]
         del self.trail[start:]
         del self.trail_lim[target:]
         self.qhead = start
@@ -225,9 +235,11 @@ class Solver:
 
     def decide(self):
         """Pick the free variable of highest activity; False when none is left."""
-        heap, value, act = self.heap, self.value, self.activity
+        heap, value, act, newest = self.heap, self.value, self.activity, self.newest
         while heap:
             neg, v = heapq.heappop(heap)
+            if -neg == newest[v]:  # activities only grow, so this was the newest
+                newest[v] = None
             if value[2 * v] == 0 and -neg == act[v]:
                 self.decisions += 1
                 self.trail_lim.append(len(self.trail))

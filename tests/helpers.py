@@ -39,8 +39,17 @@ from lgnsat.evaluator import (
     predict_batch,
 )
 from lgnsat.netlist import Netlist
-from lgnsat.schema import FeatureSchema, NumericFeature
+from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 from lgnsat.solver import BUILTIN_SOLVER
+
+
+def adult_schema() -> FeatureSchema:
+    """The Adult-shaped schema: 100 input bits, two sensitive features."""
+    return FeatureSchema(
+        tuple(NumericFeature(f"num{i}", 10, 0.0, 11.0) for i in range(6))
+        + tuple(CategoricalFeature(f"cat{i}", 8) for i in range(4))
+        + (CategoricalFeature("sex", 2, True), CategoricalFeature("race", 6, True))
+    )
 
 
 def input_ref(index: int) -> int:

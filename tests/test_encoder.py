@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    adult_schema,
     bcp_satisfiable,
     count_models,
     forced_values,
@@ -339,14 +340,6 @@ class TestBuildQuery:
         ]
 
 
-def _adult_schema() -> FeatureSchema:
-    return FeatureSchema(
-        tuple(NumericFeature(f"num{i}", 10, 0.0, 11.0) for i in range(6))
-        + tuple(CategoricalFeature(f"cat{i}", 8) for i in range(4))
-        + (CategoricalFeature("sex", 2, True), CategoricalFeature("race", 6, True))
-    )
-
-
 def _ten_class_schema() -> FeatureSchema:
     return FeatureSchema(
         tuple(NumericFeature(f"num{i}", 8, 0.0, 9.0) for i in range(5))
@@ -362,7 +355,7 @@ class TestPinnedQueryBytes:
         "schema, shape, query, dimacs_sha, sidecar_sha",
         [
             (
-                _adult_schema(),
+                adult_schema(),
                 (100, [2000, 2000, 2000, 1000], 2, 500),
                 PropertyQuery("fair", 1, Fraction(3, 4)),
                 "5bf3d478391788531b26c3d7ec6cac36b462f964bb1cff36e70e91180b9baf5a",
@@ -390,7 +383,7 @@ def test_adult_query_clause_count_matches_stream():
     # (6 clauses per 2); the count must still match the stream's 0s and
     # the DIMACS header on a full Adult-shaped query.
     net = random_netlist(100, [2000, 2000, 2000, 1000], 2, 500, seed=2)
-    formula, _ = build_query(net, _adult_schema(), PropertyQuery("fair", 1, Fraction(3, 4)))
+    formula, _ = build_query(net, adult_schema(), PropertyQuery("fair", 1, Fraction(3, 4)))
     header = to_dimacs(formula).split(b"\n", 1)[0].split()
     assert len(formula.clauses) == formula.clauses.lits.count(0) == int(header[3])
     assert len(formula.clauses) > 100_000

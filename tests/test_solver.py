@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import models_over
+from helpers import adult_schema, models_over
 
 from lgnsat import solver as solver_module
 from lgnsat.cnf import CnfBuilder
@@ -226,6 +226,21 @@ class TestBuiltinSolver:
         assert outcome.status == (SAT if expected else UNSAT)
         if expected:
             assert satisfies(outcome.model, formula)
+
+
+    @pytest.mark.parametrize("seed, kappa, status, conflicts", [
+        (1, Fraction(3, 4), UNSAT, 98),
+        (3, Fraction(3, 4), UNSAT, 121),
+        (1, Fraction(2, 3), SAT, 218),
+    ])
+    def test_pinned_conflict_counts(self, seed, kappa, status, conflicts):
+        # An edit meant only to make the solver faster keeps its search, so
+        # these counts stay put.
+        net = random_netlist(100, [200, 200, 200, 100], 2, 50, seed)
+        formula, _ = build_query(net, adult_schema(), PropertyQuery("fair", 1, kappa))
+        outcome = solve(formula, self.config)
+        assert outcome.status == status
+        assert f"c conflicts: {conflicts}" in outcome.stats_lines
 
 
 class TestOutputParsing:
