@@ -217,9 +217,8 @@ class Solver:
         if len(self.trail_lim) <= target:
             return
         start = self.trail_lim[target]
-        value, phase, act, heap, newest = (
-            self.value, self.phase, self.activity, self.heap, self.newest
-        )
+        value, phase, act, heap = self.value, self.phase, self.activity, self.heap
+        newest = self.newest
         for lit in self.trail[start:]:
             v = lit >> 1
             value[lit] = value[lit ^ 1] = 0
@@ -238,7 +237,7 @@ class Solver:
         heap, value, act, newest = self.heap, self.value, self.activity, self.newest
         while heap:
             neg, v = heapq.heappop(heap)
-            if -neg == newest[v]:  # activities only grow, so this was the newest
+            if -neg == newest[v]:  # activities grow between rebuilds: the newest entry
                 newest[v] = None
             if value[2 * v] == 0 and -neg == act[v]:
                 self.decisions += 1

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DataError
 from .evaluator import class_scores, winner_of
-from .netlist import Netlist
+from .netlist import Netlist, read_int
 from .schema import CategoricalFeature, FeatureSchema, NumericFeature
 
 
@@ -65,7 +65,7 @@ def encode_row(schema: FeatureSchema, raw_values) -> tuple[int, ...]:
             buckets.append(f.bucket_of(value))
         else:
             try:
-                cat = int(raw)
+                cat = read_int(raw)
             except (TypeError, ValueError):
                 raise DataError(f"feature {f.name!r}: unknown category {raw!r}")
             buckets.append(cat)
@@ -104,7 +104,7 @@ def load_csv(schema: FeatureSchema, text: str, label_col: str = "label") -> Data
             values.append(cell)
         label = record[label_at] if label_at < len(record) else None
         try:
-            label = int(label)
+            label = read_int(label)
         except (TypeError, ValueError):
             raise DataError(f"row {lineno}: non-integer label {label!r}")
         rows.append((tuple(values), label))

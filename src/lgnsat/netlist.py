@@ -195,6 +195,15 @@ _NUMBERS = str.maketrans("()ig", " ,  ")
 _KINDS = bytes.maketrans(b"(ig", b"\x00\x01\x00")
 _NOT_KINDS = bytes(c for c in range(256) if c not in b"(ig")
 _MAGIC = "lgn 1"
+_INT_RE = re.compile(r"\s*-?\d+\s*")
+
+
+def read_int(text: str) -> int:
+    """``int(text)`` for the digits ``_LAYER_RE`` reads, with an optional
+    minus: ``1_0``, ``+1`` and other text raise ValueError."""
+    if _INT_RE.fullmatch(text) is None:
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 def _ref_text(ref: int) -> str:
@@ -227,7 +236,7 @@ def _parse_header_int(lines, idx: int, key: str) -> int:
             f"expected '{key} <int>', got {text.strip()!r}", line=lineno
         )
     try:
-        return int(parts[1])
+        return read_int(parts[1])
     except ValueError:
         raise NetlistFormatError(f"non-integer value for {key}: {parts[1]!r}", line=lineno)
 

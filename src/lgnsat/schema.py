@@ -11,8 +11,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 
 from .errors import DataError, SchemaFormatError
+from .netlist import read_int
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,10 @@ class FeatureSchema:
             if isinstance(f, NumericFeature):
                 if f.bits < 1:
                     v.append(f"feature {f.name!r}: bits must be >= 1")
+                if not -inf < f.lo < f.hi < inf:  # NaN fails this too
+                    v.append(f"feature {f.name!r}: lo and hi must be finite with lo < hi")
+                if f.thresholds is not None and not all(-inf < t < inf for t in f.thresholds):
+                    v.append(f"feature {f.name!r}: thresholds must be finite")
                 if f.thresholds is not None and len(f.thresholds) != f.bits:
                     v.append(
                         f"feature {f.name!r}: {len(f.thresholds)} thresholds "
@@ -221,7 +227,7 @@ def parse_schema(data: bytes | str) -> FeatureSchema:
                 features.append(
                     NumericFeature(
                         name,
-                        bits=int(kv["bits"]),
+                        bits=read_int(kv["bits"]),
                         lo=float(kv["lo"]),
                         hi=float(kv["hi"]),
                         thresholds=thresholds,
@@ -231,7 +237,7 @@ def parse_schema(data: bytes | str) -> FeatureSchema:
                 features.append(
                     CategoricalFeature(
                         name,
-                        arity=int(kv["arity"]),
+                        arity=read_int(kv["arity"]),
                         sensitive=kv.get("sensitive", "0") == "1",
                     )
                 )

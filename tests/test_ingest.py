@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -74,6 +75,12 @@ class TestEncodeRow:
             encode_row(schema, ["3"])
         with pytest.raises(DataError, match="unknown category"):
             encode_row(schema, ["blue"])
+
+    @pytest.mark.parametrize("raw", ["1_0", "+1"])
+    def test_category_reads_only_digits(self, raw):
+        schema = FeatureSchema((CategoricalFeature("c", 12),))
+        with pytest.raises(DataError, match=rf"^feature 'c': unknown category '{re.escape(raw)}'$"):
+            encode_row(schema, [raw])
 
     def test_round_trip_random_rows(self):
         schema = adult_like_schema()
@@ -235,6 +242,11 @@ class TestLoadCsvLayout:
         assert data.rows == ((("0", "1"), 1),)
         with pytest.raises(DataError, match=r"^row 2: feature 'v': non-numeric value '1,5'$"):
             load_csv(small_schema(), 'v,s,label\n"1,5",0,0\n')
+
+    @pytest.mark.parametrize("label", ["0_1", "+1", " 1_0 "])
+    def test_label_reads_only_digits(self, label):
+        with pytest.raises(DataError, match=rf"^row 2: non-integer label '{re.escape(label)}'$"):
+            load_csv(small_schema(), f"v,s,label\n0,0,{label}\n")
 
     def test_empty_label(self):
         with pytest.raises(DataError, match=r"^row 2: non-integer label ''$"):

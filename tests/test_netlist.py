@@ -10,7 +10,7 @@ import pytest
 from helpers import NAMED_OPS, findall_parse_layer_line, gate_ref, gate_truth, input_ref
 
 from lgnsat.cnf import CnfBuilder
-from lgnsat.errors import InvalidNetlistError, NetlistFormatError
+from lgnsat.errors import InvalidNetlistError, NetlistFormatError, SchemaFormatError
 from lgnsat.evaluator import forward, predict
 from lgnsat.netlist import (
     Netlist,
@@ -172,6 +172,13 @@ class TestFileFormat:
     def test_bad_magic(self):
         with pytest.raises(NetlistFormatError, match="magic"):
             parse_netlist("nope\n")
+
+    @pytest.mark.parametrize("value", ["1_0", "+2"])
+    def test_header_value_reads_only_digits(self, value):
+        text = f"lgn 1\ninput_width {value}\nnum_classes 2\nblock_size 1\n"
+        with pytest.raises(NetlistFormatError, match="non-integer value for input_width") as exc:
+            parse_netlist(text + "layer (8, i0, i1) (14, i0, i1)\n")
+        assert exc.value.line == 2
 
     def test_malformed_gate_has_position(self):
         text = "lgn 1\ninput_width 2\nnum_classes 2\nblock_size 1\nlayer (8, i0 i1)\n"
@@ -431,3 +438,28 @@ class TestSchemaRoundTrip:
     def test_byte_order_mark_accepted(self):
         schema = FeatureSchema((NumericFeature("age", 4, 18.0, 90.0), CategoricalFeature("g", 2)))
         assert parse_schema(codecs.BOM_UTF8 + serialize_schema(schema)) == schema
+
+
+class TestSchemaErrors:
+    """Each way a schema file can be rejected: the error type, and the line
+    for a bad record; a violated invariant names its feature instead."""
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("num a bits=2 lo=0", 1, "bad feature record: 'hi'"),
+        ("cat g arity=2\nnum a bits=2 bits=3 lo=0 hi=1", 2, "duplicate key 'bits'"),
+        ("cat g arity=2\n\nint a bits=2", 3, "expected 'num <name> ...'"),
+        ("cat g arity=2\nnum a bits=1_0 lo=0 hi=1", 2, "bad feature record"),
+        ("cat g arity=+2", 1, "bad feature record"),
+        ("num a bits=2 lo=0 hi=3 thresholds=2,1", None, "'a': thresholds are not ascending"),
+        ("cat g arity=1", None, "'g': arity must be >= 2"),
+        ("num a bits=2 lo=0 hi=inf", None, "'a': lo and hi must be finite with lo < hi"),
+        ("num a bits=2 lo=nan hi=1", None, "'a': lo and hi must be finite with lo < hi"),
+        ("num a bits=2 lo=10 hi=0", None, "'a': lo and hi must be finite with lo < hi"),
+        ("num a bits=2 lo=0 hi=3 thresholds=1,inf", None, "'a': thresholds must be finite"),
+    ], ids=["missing-key", "duplicate-key", "unknown-kind", "bits-1_0", "arity-+2",
+            "unsorted-thresholds", "arity-1", "hi-inf", "lo-nan", "lo-above-hi",
+            "threshold-inf"])
+    def test_rejected(self, text, line, message):
+        with pytest.raises(SchemaFormatError, match=re.escape(message)) as exc:
+            parse_schema(text)
+        assert exc.value.line == line
