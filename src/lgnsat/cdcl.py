@@ -237,7 +237,7 @@ class Solver:
         heap, value, act, newest = self.heap, self.value, self.activity, self.newest
         while heap:
             neg, v = heapq.heappop(heap)
-            if -neg == newest[v]:  # activities grow between rebuilds: the newest entry
+            if -neg == newest[v]:  # v's entries rise in activity: this was its newest
                 newest[v] = None
             if value[2 * v] == 0 and -neg == act[v]:
                 self.decisions += 1

@@ -322,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    command("validate", cmd_validate, "check netlist (and schema) invariants", False)
+    command("validate", cmd_validate, "check netlist (and schema) invariants",
+            schema_required=False)
 
     p = command("verify", cmd_verify, "decide one fixed-threshold query")
     _add_query_args(p)

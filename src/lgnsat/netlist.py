@@ -195,13 +195,13 @@ _NUMBERS = str.maketrans("()ig", " ,  ")
 _KINDS = bytes.maketrans(b"(ig", b"\x00\x01\x00")
 _NOT_KINDS = bytes(c for c in range(256) if c not in b"(ig")
 _MAGIC = "lgn 1"
-_INT_RE = re.compile(r"\s*-?\d+\s*")
 
 
 def read_int(text: str) -> int:
     """``int(text)`` for the digits ``_LAYER_RE`` reads, with an optional
-    minus: ``1_0``, ``+1`` and other text raise ValueError."""
-    if _INT_RE.fullmatch(text) is None:
+    minus and surrounding whitespace. Beyond those, int() takes only a plus
+    sign and underscores, so ``+1`` and ``1_0`` raise ValueError here."""
+    if "_" in text or "+" in text:
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
 
