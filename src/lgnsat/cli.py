@@ -29,7 +29,6 @@ from .encoder import PropertyQuery, build_query
 from .errors import (
     DataError,
     InvalidNetlistError,
-    LgnsatError,
     NetlistFormatError,
     QueryBuildError,
     SchemaFormatError,

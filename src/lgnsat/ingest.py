@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import DataError
 from .evaluator import class_scores, winner_of
 from .netlist import Netlist, read_int
-from .schema import CategoricalFeature, FeatureSchema, NumericFeature
+from .schema import FeatureSchema, NumericFeature
 
 
 @dataclass(frozen=True)

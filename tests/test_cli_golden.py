@@ -7,7 +7,7 @@ cover each outcome the CLI maps to an exit code: ok or holds (0),
 counterexample or not attainable (1), invalid input (2), usage and
 environment errors (3) and unknown through a solver that never answers (4).
 To re-pin after an intended report change, write ``run_cases``' result to
-the file with ``json.dump(..., indent=1)``.
+the file, one invocation per line.
 """
 
 import json
