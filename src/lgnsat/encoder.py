@@ -143,49 +143,72 @@ def emit_winning(b: CnfBuilder, sorted_blocks) -> list[Lit]:
     evaluator uses. An at-least-one clause completes the one-directional
     implications; at-most-one follows from the strictness asymmetry.
 
-    The fixed-shape clauses go straight into the builder's stream with the
-    folds of ``lit_and`` and ``add_clause`` inline. The flags are fresh, so
-    only the block literals can fold.
+    The maximum of sorted unary counts is their elementwise OR, so each
+    class compares against two maxima rather than against every other
+    class: ``lower[c]``, the OR of the blocks below c, built bottom-up, and
+    ``upper[c]``, the OR of the blocks above c, built top-down, each step
+    one ``lit_or`` per position. w_c implies some k with s_c[k] and not
+    lower[c][k], and upper[c][k] -> s_c[k] for every k.
+
+    Per copy that is (C-2)*L chain ``lit_or`` each way and (C-1)*L
+    ``lit_and``, three clauses each, plus (C-1)*L implications: about
+    (10C-16)*L clauses, where comparing every pair took 2C(C-1)*L: more
+    at C=3, equal at C=4, fewer from C=5. At C=2, lower[1] is s_0 and
+    upper[0] is s_1, so no chain variable exists and the clauses are those
+    of the pairwise form.
+
+    The fixed-shape winner clauses go straight into the builder's stream
+    with the folds of ``lit_and`` and ``add_clause`` inline. The flags are
+    fresh, so only the block and maxima literals can fold.
     """
     num_classes = len(sorted_blocks)
     winners = b.new_vars(num_classes)
+
+    def running_max(blocks):
+        top = blocks[0]
+        maxima = [top]
+        for blk in blocks[1:]:
+            top = tuple(map(b.lit_or, top, blk))
+            maxima.append(top)
+        return maxima
+
+    lower = [()] + running_max(sorted_blocks[:-1])
+    upper = running_max(sorted_blocks[:0:-1])[::-1] + [()]
     clauses = b.clauses
     stream = clauses.lits
-    for c, s_c in enumerate(sorted_blocks):
+    for c, (s_c, below, above) in enumerate(zip(sorted_blocks, lower, upper)):
         not_w = -winners[c]
-        for d, s_d in enumerate(sorted_blocks):
-            if d < c:
-                # Some k with s_c[k] AND NOT s_d[k]: one lit_and per k.
-                above = [not_w]
-                n = b.num_vars
-                for p, q in zip(s_c, s_d):
-                    if p == FALSE_LIT or q == TRUE_LIT or p == q:
-                        continue  # FALSE, which the clause drops
-                    if p == TRUE_LIT:
-                        above.append(-q)
-                    elif q == FALSE_LIT or p == -q:
-                        above.append(p)
-                    else:
-                        n += 1
-                        stream += (-n, p, 0, -n, -q, 0, n, -p, q, 0)
-                        above.append(n)
-                clauses.count += 3 * (n - b.num_vars)
-                b.num_vars = n
-                b.add_clause(above)
-            elif d > c:
-                # (-w_c, -s_d[k], s_c[k]) for every k, as add_clause has it.
-                kept = 0
-                for q, p in zip(s_d, s_c):
-                    if q == FALSE_LIT or p == TRUE_LIT or p == q:
-                        continue  # satisfied
-                    kept += 1
-                    if q == TRUE_LIT or p == -q:
-                        stream += (not_w, 0) if p == FALSE_LIT else (not_w, p, 0)
-                    elif p == FALSE_LIT:
-                        stream += (not_w, -q, 0)
-                    else:
-                        stream += (not_w, -q, p, 0)
-                clauses.count += kept
+        if c:
+            # Some k with s_c[k] AND NOT lower[c][k]: one lit_and per k.
+            beats = [not_w]
+            n = b.num_vars
+            for p, q in zip(s_c, below):
+                if p == FALSE_LIT or q == TRUE_LIT or p == q:
+                    continue  # FALSE, which the clause drops
+                if p == TRUE_LIT:
+                    beats.append(-q)
+                elif q == FALSE_LIT or p == -q:
+                    beats.append(p)
+                else:
+                    n += 1
+                    stream += (-n, p, 0, -n, -q, 0, n, -p, q, 0)
+                    beats.append(n)
+            clauses.count += 3 * (n - b.num_vars)
+            b.num_vars = n
+            b.add_clause(beats)
+        # (-w_c, -upper[c][k], s_c[k]) for every k, as add_clause has it.
+        kept = 0
+        for q, p in zip(above, s_c):
+            if q == FALSE_LIT or p == TRUE_LIT or p == q:
+                continue  # satisfied
+            kept += 1
+            if q == TRUE_LIT or p == -q:
+                stream += (not_w, 0) if p == FALSE_LIT else (not_w, p, 0)
+            elif p == FALSE_LIT:
+                stream += (not_w, -q, 0)
+            else:
+                stream += (not_w, -q, p, 0)
+        clauses.count += kept
     b.add_clause(winners)
     return winners
 

@@ -101,31 +101,36 @@ class FeatureSchema:
         return [f for f in self.features if f.sensitive]
 
     def invariant_violations(self) -> list[str]:
+        return [message for _, message in self.located_violations()]
+
+    def located_violations(self) -> list[tuple[int | None, str]]:
+        """Each violated invariant with the index of the feature that breaks
+        it (for a duplicate name, its second occurrence), or None for one of
+        the schema as a whole."""
         v = []
         seen = set()
         for i, f in enumerate(self.features):
             if f.name in seen:
-                v.append(f"feature {i}: duplicate name {f.name!r}")
+                v.append((i, f"feature {i}: duplicate name {f.name!r}"))
             seen.add(f.name)
+            problems = []
             if isinstance(f, NumericFeature):
                 if f.bits < 1:
-                    v.append(f"feature {f.name!r}: bits must be >= 1")
+                    problems.append("bits must be >= 1")
                 if not -inf < f.lo < f.hi < inf:  # NaN fails this too
-                    v.append(f"feature {f.name!r}: lo and hi must be finite with lo < hi")
-                if f.thresholds is not None and not all(-inf < t < inf for t in f.thresholds):
-                    v.append(f"feature {f.name!r}: thresholds must be finite")
-                if f.thresholds is not None and len(f.thresholds) != f.bits:
-                    v.append(
-                        f"feature {f.name!r}: {len(f.thresholds)} thresholds "
-                        f"for {f.bits} bits"
-                    )
-                if f.thresholds is not None and list(f.thresholds) != sorted(f.thresholds):
-                    v.append(f"feature {f.name!r}: thresholds are not ascending")
-            else:
-                if f.arity < 2:
-                    v.append(f"feature {f.name!r}: arity must be >= 2")
+                    problems.append("lo and hi must be finite with lo < hi")
+                if f.thresholds is not None:
+                    if not all(f.lo <= t <= f.hi for t in f.thresholds):
+                        problems.append("thresholds must be finite and in [lo, hi]")
+                    if len(f.thresholds) != f.bits:
+                        problems.append(f"{len(f.thresholds)} thresholds for {f.bits} bits")
+                    if list(f.thresholds) != sorted(f.thresholds):
+                        problems.append("thresholds are not ascending")
+            elif f.arity < 2:
+                problems.append("arity must be >= 2")
+            v += [(i, f"feature {f.name!r}: {problem}") for problem in problems]
         if not self.features:
-            v.append("schema has no features")
+            v.append((None, "schema has no features"))
         return v
 
     # -- bit-pattern validity (shared by encoder and ingest) ---------------
@@ -207,6 +212,7 @@ def _parse_kv(parts: list[str], lineno: int) -> dict[str, str]:
 def parse_schema(data: bytes | str) -> FeatureSchema:
     text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     features: list[Feature] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -243,10 +249,16 @@ def parse_schema(data: bytes | str) -> FeatureSchema:
                 )
         except (KeyError, ValueError) as exc:
             raise SchemaFormatError(f"bad feature record: {exc}", line=lineno)
+        linenos.append(lineno)
     schema = FeatureSchema(tuple(features))
-    violations = schema.invariant_violations()
+    violations = schema.located_violations()
     if violations:
-        raise SchemaFormatError("; ".join(violations))
+        # The first offending feature, as a bad record would be reported.
+        first = violations[0][0]
+        raise SchemaFormatError(
+            "; ".join(message for i, message in violations if i == first),
+            line=None if first is None else linenos[first],
+        )
     return schema
 
 

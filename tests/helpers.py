@@ -52,6 +52,14 @@ def adult_schema() -> FeatureSchema:
     )
 
 
+def ten_class_schema() -> FeatureSchema:
+    """The ten-class workload's schema: 60 input bits, no sensitive feature."""
+    return FeatureSchema(
+        tuple(NumericFeature(f"num{i}", 8, 0.0, 9.0) for i in range(5))
+        + tuple(CategoricalFeature(f"cat{i}", 5) for i in range(4))
+    )
+
+
 def input_ref(index: int) -> int:
     """Gate-input ref of input bit ``index``."""
     return ~index
@@ -425,22 +433,31 @@ def reference_add_clause(builder, lits) -> None:
 
 
 def reference_emit_winning(builder, sorted_blocks) -> list[int]:
-    """Reference for ``lgnsat.encoder.emit_winning``: one ``lit_and`` per
-    position of each (d < c) pair and one normalised clause per position of
-    each (d > c) pair, each through the builder's calls."""
+    """Reference for ``lgnsat.encoder.emit_winning``: the prefix maxima of
+    the blocks below each class, then the suffix maxima of the blocks above
+    it, one ``lit_or`` per position and step; then per class one ``lit_and``
+    per position against its lower maximum and one normalised clause per
+    position against its upper maximum, each through the builder's calls."""
     num_classes = len(sorted_blocks)
     width = len(sorted_blocks[0])
     winners = builder.new_vars(num_classes)
+    lower = [None, sorted_blocks[0]]
+    for c in range(2, num_classes):
+        prev = lower[c - 1]
+        lower.append([builder.lit_or(prev[k], sorted_blocks[c - 1][k]) for k in range(width)])
+    upper = [None] * num_classes
+    upper[num_classes - 2] = sorted_blocks[num_classes - 1]
+    for c in range(num_classes - 3, -1, -1):
+        prev = upper[c + 1]
+        upper[c] = [builder.lit_or(prev[k], sorted_blocks[c + 1][k]) for k in range(width)]
     for c in range(num_classes):
         s_c = sorted_blocks[c]
-        for d in range(num_classes):
-            s_d = sorted_blocks[d]
-            if d < c:
-                above = [builder.lit_and(s_c[k], -s_d[k]) for k in range(width)]
-                reference_add_clause(builder, [-winners[c]] + above)
-            elif d > c:
-                for k in range(width):
-                    reference_add_clause(builder, (-winners[c], -s_d[k], s_c[k]))
+        if c > 0:
+            beats = [builder.lit_and(s_c[k], -lower[c][k]) for k in range(width)]
+            reference_add_clause(builder, [-winners[c]] + beats)
+        if c < num_classes - 1:
+            for k in range(width):
+                reference_add_clause(builder, (-winners[c], -upper[c][k], s_c[k]))
     reference_add_clause(builder, winners)
     return winners
 

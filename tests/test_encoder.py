@@ -12,6 +12,7 @@ from helpers import (
     forced_values,
     models_over,
     reference_emit_winning,
+    ten_class_schema,
 )
 
 from lgnsat.cnf import FALSE_LIT, TRUE_LIT, CnfBuilder, to_dimacs
@@ -158,7 +159,7 @@ class TestWinning:
         assert self.winners_for((2, 2, 2), 3) == [1, 0, 0]
 
     @pytest.mark.parametrize("block_size", [1, 2, 3])
-    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("num_classes", [2, 3, 4, 5])
     def test_exhaustive_matches_evaluator(self, num_classes, block_size):
         for scores in itertools.product(range(block_size + 1), repeat=num_classes):
             got = self.winners_for(scores, block_size)
@@ -209,7 +210,7 @@ class TestDiffClass:
         assert not bcp_satisfiable(f, same)
         assert bcp_satisfiable(f, diff)
 
-    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("num_classes", [2, 3, 4])
     def test_models_are_differing_class_pairs(self, num_classes):
         # with both winner encodings present, models project to exactly the
         # score assignments whose predicted classes differ
@@ -340,13 +341,6 @@ class TestBuildQuery:
         ]
 
 
-def _ten_class_schema() -> FeatureSchema:
-    return FeatureSchema(
-        tuple(NumericFeature(f"num{i}", 8, 0.0, 9.0) for i in range(5))
-        + tuple(CategoricalFeature(f"cat{i}", 5) for i in range(4))
-    )
-
-
 class TestPinnedQueryBytes:
     """DIMACS and sidecar bytes of two seeded queries, pinned so that a
     change meant to speed up the encoder cannot change what it writes."""
@@ -362,11 +356,11 @@ class TestPinnedQueryBytes:
                 "597e2f19bbfa07a81d0fb27e783d1786ef0b25abefe23e0fbf90d1c92bcf3371",
             ),
             (
-                _ten_class_schema(),
+                ten_class_schema(),
                 (60, [1000, 1000, 1000], 10, 100),
                 PropertyQuery("robust", 1, Fraction(1, 2)),
-                "0eef989c75953b07581930f10d50900ae2d80fc5d6f0e788e47043c010ee9d68",
-                "f41e0182432af5e1268ef1c02bcec2d1ee45236170c0e91c4d60a5cd45d16fee",
+                "6037d26a25f077838c835a8e5d5b9287335454c8aa0701b3b66b0259fa52252b",
+                "2068f79954d15f1f1ee7e5033b1a3b67fe2b6d26619155a04e222c9f66c3e21d",
             ),
         ],
         ids=["adult-fair", "ten-class-robust"],

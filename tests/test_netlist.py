@@ -442,7 +442,8 @@ class TestSchemaRoundTrip:
 
 class TestSchemaErrors:
     """Each way a schema file can be rejected: the error type, and the line
-    for a bad record; a violated invariant names its feature instead."""
+    of the bad record or of the feature that violates an invariant (for a
+    duplicate name, its second occurrence)."""
 
     @pytest.mark.parametrize("text, line, message", [
         ("num a bits=2 lo=0", 1, "bad feature record: 'hi'"),
@@ -450,15 +451,22 @@ class TestSchemaErrors:
         ("cat g arity=2\n\nint a bits=2", 3, "expected 'num <name> ...'"),
         ("cat g arity=2\nnum a bits=1_0 lo=0 hi=1", 2, "bad feature record"),
         ("cat g arity=+2", 1, "bad feature record"),
-        ("num a bits=2 lo=0 hi=3 thresholds=2,1", None, "'a': thresholds are not ascending"),
-        ("cat g arity=1", None, "'g': arity must be >= 2"),
-        ("num a bits=2 lo=0 hi=inf", None, "'a': lo and hi must be finite with lo < hi"),
-        ("num a bits=2 lo=nan hi=1", None, "'a': lo and hi must be finite with lo < hi"),
-        ("num a bits=2 lo=10 hi=0", None, "'a': lo and hi must be finite with lo < hi"),
-        ("num a bits=2 lo=0 hi=3 thresholds=1,inf", None, "'a': thresholds must be finite"),
+        ("num a bits=2 lo=0 hi=3 thresholds=2,1", 1, "'a': thresholds are not ascending"),
+        ("cat g arity=1", 1, "'g': arity must be >= 2"),
+        ("num a bits=2 lo=0 hi=inf", 1, "'a': lo and hi must be finite with lo < hi"),
+        ("num a bits=2 lo=nan hi=1", 1, "'a': lo and hi must be finite with lo < hi"),
+        ("num a bits=2 lo=10 hi=0", 1, "'a': lo and hi must be finite with lo < hi"),
+        ("num a bits=2 lo=0 hi=3 thresholds=1,inf", 1, "'a': thresholds must be finite"),
+        ("num a bits=2 lo=0 hi=3 thresholds=5,6", 1, "'a': thresholds must be finite and in [lo, hi]"),
+        ("cat g arity=2\n# note\nnum a bits=2 lo=0 hi=3 thresholds=-1,2", 3,
+         "'a': thresholds must be finite and in [lo, hi]"),
+        ("cat g arity=2\nnum a bits=2 lo=0 hi=1\n\ncat g arity=3\ncat h arity=1", 4,
+         "feature 2: duplicate name 'g'"),
+        ("# nothing but a comment\n", None, "schema has no features"),
     ], ids=["missing-key", "duplicate-key", "unknown-kind", "bits-1_0", "arity-+2",
             "unsorted-thresholds", "arity-1", "hi-inf", "lo-nan", "lo-above-hi",
-            "threshold-inf"])
+            "threshold-inf", "thresholds-above-hi", "threshold-below-lo", "duplicate-name",
+            "no-features"])
     def test_rejected(self, text, line, message):
         with pytest.raises(SchemaFormatError, match=re.escape(message)) as exc:
             parse_schema(text)

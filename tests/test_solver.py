@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import adult_schema, models_over
+from helpers import adult_schema, models_over, ten_class_schema
 
 from lgnsat import solver as solver_module
 from lgnsat.cnf import CnfBuilder
@@ -242,6 +242,22 @@ class TestBuiltinSolver:
         assert outcome.status == status
         assert f"c conflicts: {conflicts}" in outcome.stats_lines
 
+    @pytest.mark.parametrize("num_classes, block_size, seed, kappa, conflicts", [
+        (5, 20, 2, Fraction(2, 5), 122),
+        (10, 10, 2, Fraction(1, 4), 43),
+        (10, 10, 4, Fraction(1, 4), 394),
+    ])
+    def test_pinned_multiclass_conflict_counts(
+        self, num_classes, block_size, seed, kappa, conflicts
+    ):
+        # The same pins for C > 2, where the winner flags compare each
+        # class with the unary maxima of the classes below and above it.
+        net = random_netlist(60, [300, 300, 300, 100], num_classes, block_size, seed)
+        formula, _ = build_query(net, ten_class_schema(), PropertyQuery("robust", 1, kappa))
+        outcome = solve(formula, self.config)
+        assert outcome.status == UNSAT
+        assert f"c conflicts: {conflicts}" in outcome.stats_lines
+
 
 class TestOutputParsing:
     def fake_solver(self, tmp_path, script):
@@ -349,15 +365,33 @@ class TestDecode:
         assert check_phi(witness.x.bits, witness.x_prime.bits, schema, 1, "fair")
 
 
-def test_solver_imports_only_the_cnf_and_error_modules():
-    # The solver seam knows DIMACS and its own errors; decoding a model
-    # against the network and schema belongs to the driver.
-    tree = ast.parse(Path(solver_module.__file__).read_text())
+def imports_of(path: Path) -> tuple[set, set]:
+    """The modules ``path`` imports: (relative, absolute)."""
     relative, absolute = set(), set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
             (relative if node.level else absolute).add(node.module)
         elif isinstance(node, ast.Import):
             absolute.update(alias.name for alias in node.names)
+    return relative, absolute
+
+
+def test_solver_imports_only_the_cnf_and_error_modules():
+    # The solver seam knows DIMACS and its own errors; decoding a model
+    # against the network and schema belongs to the driver.
+    relative, absolute = imports_of(Path(solver_module.__file__))
     assert relative == {"cnf", "errors"}
+    assert not any(name.split(".")[0] == "lgnsat" for name in absolute)
+
+
+def test_package_imports_only_the_standard_library():
+    # lgnsat needs no third-party package, and the built-in solver runs as
+    # a script of its own, so cdcl.py imports nothing of lgnsat.
+    package = Path(solver_module.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        _, absolute = imports_of(path)
+        outside = {name for name in absolute if name.split(".")[0] not in sys.stdlib_module_names}
+        assert not outside, (path.name, outside)
+    relative, absolute = imports_of(package / "cdcl.py")
+    assert not relative
     assert not any(name.split(".")[0] == "lgnsat" for name in absolute)
