@@ -22,7 +22,6 @@ from .evaluator import (
     UNKNOWN,
     Verdict,
     Witness,
-    check_phi,
     forward,
     predict,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "accuracy",
     "build_query",
     "check_attainable",
-    "check_phi",
     "encode_row",
     "find_solver",
     "forward",

@@ -19,6 +19,8 @@ import argparse
 import functools
 import hashlib
 import json
+import os
+import signal
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -369,10 +371,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(BaseException):
+    """SIGTERM while ``main`` runs. Raised from the signal handler, it
+    unwinds through every ``finally`` on its way out, among them the one
+    that kills the solver's process group and removes its DIMACS file. It
+    is not an ``Exception``, which a handler could swallow, nor a
+    ``SystemExit``, which a caller could take for a finished command."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     """Run one command: its report goes to stdout, its line to stderr, and
     its exit code is returned. Invalid input gets an error report; a usage
-    error gets none."""
+    error gets none. On SIGTERM the solver is stopped and its files are
+    removed before the signal is handed to the handler that was in place."""
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return _run(argv)
+    except _Terminated:
+        pass
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    os.kill(os.getpid(), signal.SIGTERM)
+    return 128 + signal.SIGTERM  # the previous handler did not end the process
+
+
+def _run(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import neg
 
 from .cnf import FALSE_LIT, TRUE_LIT, CnfBuilder, CnfFormula, Lit
 from .errors import InvalidNetlistError, QueryBuildError
@@ -156,10 +157,6 @@ def emit_winning(b: CnfBuilder, sorted_blocks) -> list[Lit]:
     at C=3, equal at C=4, fewer from C=5. At C=2, lower[1] is s_0 and
     upper[0] is s_1, so no chain variable exists and the clauses are those
     of the pairwise form.
-
-    The fixed-shape winner clauses go straight into the builder's stream
-    with the folds of ``lit_and`` and ``add_clause`` inline. The flags are
-    fresh, so only the block and maxima literals can fold.
     """
     num_classes = len(sorted_blocks)
     winners = b.new_vars(num_classes)
@@ -174,41 +171,11 @@ def emit_winning(b: CnfBuilder, sorted_blocks) -> list[Lit]:
 
     lower = [()] + running_max(sorted_blocks[:-1])
     upper = running_max(sorted_blocks[:0:-1])[::-1] + [()]
-    clauses = b.clauses
-    stream = clauses.lits
-    for c, (s_c, below, above) in enumerate(zip(sorted_blocks, lower, upper)):
-        not_w = -winners[c]
-        if c:
-            # Some k with s_c[k] AND NOT lower[c][k]: one lit_and per k.
-            beats = [not_w]
-            n = b.num_vars
-            for p, q in zip(s_c, below):
-                if p == FALSE_LIT or q == TRUE_LIT or p == q:
-                    continue  # FALSE, which the clause drops
-                if p == TRUE_LIT:
-                    beats.append(-q)
-                elif q == FALSE_LIT or p == -q:
-                    beats.append(p)
-                else:
-                    n += 1
-                    stream += (-n, p, 0, -n, -q, 0, n, -p, q, 0)
-                    beats.append(n)
-            clauses.count += 3 * (n - b.num_vars)
-            b.num_vars = n
-            b.add_clause(beats)
-        # (-w_c, -upper[c][k], s_c[k]) for every k, as add_clause has it.
-        kept = 0
+    for w_c, s_c, below, above in zip(winners, sorted_blocks, lower, upper):
+        if below:
+            b.add_clause([-w_c, *map(b.lit_and, s_c, map(neg, below))])
         for q, p in zip(above, s_c):
-            if q == FALSE_LIT or p == TRUE_LIT or p == q:
-                continue  # satisfied
-            kept += 1
-            if q == TRUE_LIT or p == -q:
-                stream += (not_w, 0) if p == FALSE_LIT else (not_w, p, 0)
-            elif p == FALSE_LIT:
-                stream += (not_w, -q, 0)
-            else:
-                stream += (not_w, -q, p, 0)
-        clauses.count += kept
+            b.add_clause((-w_c, -q, p))
     b.add_clause(winners)
     return winners
 

@@ -179,23 +179,14 @@ def predict(netlist: Netlist, input_bits) -> tuple[int, tuple[int, ...], Fractio
     return predict_batch(netlist, [input_bits])[0]
 
 
-def check_phi(x_bits, x_prime_bits, schema: FeatureSchema, eps: int, mode: str) -> bool:
-    """Concrete similarity predicate over a decoded input pair.
+def phi_on_values(values, values_p, schema: FeatureSchema, eps: int, mode: str) -> bool:
+    """Concrete similarity predicate over a pair of decoded inputs.
 
     True iff every non-sensitive numeric feature is within eps thermometer
     bit-flips, every non-sensitive categorical feature is equal, and (in
     fair mode) every sensitive categorical feature differs. Robust mode
     treats the sensitive set as empty, so all categoricals must be equal.
-    Ill-formed inputs are rejected (DataError).
     """
-    if mode not in (FAIR, ROBUST):
-        raise ValueError(f"mode must be {FAIR!r} or {ROBUST!r}, got {mode!r}")
-    values = schema.decode_bits(x_bits)
-    values_p = schema.decode_bits(x_prime_bits)
-    return phi_on_values(values, values_p, schema, eps, mode)
-
-
-def phi_on_values(values, values_p, schema: FeatureSchema, eps: int, mode: str) -> bool:
     for f, a, b in zip(schema.features, values, values_p):
         if isinstance(f, NumericFeature):
             if abs(a - b) > eps:

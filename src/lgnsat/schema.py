@@ -262,13 +262,20 @@ def parse_schema(data: bytes | str) -> FeatureSchema:
     return schema
 
 
+def _number(x: float) -> str:
+    """The shortest ``%g`` text that reads back as ``x``: ``:g``'s six
+    digits whenever they suffice, and never more than the 17 any double
+    needs."""
+    return next(t for t in (f"{x:.{p}g}" for p in range(6, 18)) if float(t) == x)
+
+
 def serialize_schema(schema: FeatureSchema) -> bytes:
     lines = []
     for f in schema.features:
         if isinstance(f, NumericFeature):
-            line = f"num {f.name} bits={f.bits} lo={f.lo:g} hi={f.hi:g}"
+            line = f"num {f.name} bits={f.bits} lo={_number(f.lo)} hi={_number(f.hi)}"
             if f.thresholds is not None:
-                line += " thresholds=" + ",".join(f"{t:g}" for t in f.thresholds)
+                line += " thresholds=" + ",".join(map(_number, f.thresholds))
         else:
             line = f"cat {f.name} arity={f.arity} sensitive={1 if f.sensitive else 0}"
         lines.append(line)

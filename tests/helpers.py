@@ -8,17 +8,16 @@ merge recursively instead of running a traced program, the brute-force
 verifier enumerates every well-formed input pair instead of calling a
 solver, and the unit propagator checks encodings without the external
 solver (full-equivalence Tseitin makes every auxiliary variable derivable
-from a complete input assignment). The ``reference_*`` functions keep the
-straightforward forms of code the package runs faster (a heap of runs
-merged one at a time, a list-scanning clause normaliser, a call per winner
-clause), so tests can require the very same clause stream. The named op
-codes and ``gate_truth`` are for building and reading test netlists, and
+from a complete input assignment). The ``reference_*`` functions restate
+package code in its plainest form (a list-scanning clause normaliser,
+winner clauses by index loops), so tests can require the very same clause
+stream. The named op codes and ``gate_truth`` are for building and reading
+test netlists, ``check_phi`` reads Phi on bit vectors, and
 ``sleeping_solver`` stands in for a solver that stops answering.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import re
 import sys
@@ -30,7 +29,9 @@ from lgnsat.errors import NetlistFormatError
 
 from lgnsat.evaluator import (
     COUNTEREXAMPLE,
+    FAIR,
     HOLDS,
+    ROBUST,
     InputRecord,
     Verdict,
     VerdictStats,
@@ -343,79 +344,6 @@ class OracleSorter:
         return list(reversed(pending[0][2])) if pending else []
 
 
-def reference_merge_program(size: int):
-    """Batcher's odd-even merge of two ascending runs of ``size`` wires,
-    traced one comparator at a time by the recursion: wires 0..size-1 hold
-    the first run and size..2*size-1 the second. Returns the (x, y) steps
-    in order, step k writing wire 2*size + 2k (hi) and the one after (lo),
-    and the ascending output wires."""
-    steps: list[tuple[int, int]] = []
-
-    def comparator(x: int, y: int) -> tuple[int, int]:
-        steps.append((x, y))
-        hi = 2 * size + 2 * len(steps) - 2
-        return hi, hi + 1
-
-    def merge(a: list[int], b: list[int]) -> list[int]:
-        if len(a) == 1:
-            hi, lo = comparator(a[0], b[0])
-            return [lo, hi]
-        even = merge(a[0::2], b[0::2])
-        odd = merge(a[1::2], b[1::2])
-        out = [even[0]]
-        for i in range(1, len(a)):
-            hi, lo = comparator(odd[i - 1], even[i])
-            out += (lo, hi)
-        out.append(odd[-1])
-        return out
-
-    outs = merge(list(range(size)), list(range(size, 2 * size)))
-    return steps, outs
-
-
-def reference_sort_block(builder, lits, run: int = 1) -> list[int]:
-    """Reference for ``CnfBuilder.sort_block`` that writes into ``builder``:
-    a heap of runs, merged two shortest first (ties in input order), each
-    merge padded on its own with FALSE and run as its traced merge program
-    with the comparator folds inline."""
-    lits = list(lits)
-    runs = [lits[k:k + run][::-1] for k in range(0, len(lits), run)]
-    heap = [(len(r), i, r) for i, r in enumerate(runs)]
-    heapq.heapify(heap)
-    order = len(heap)
-    stream = builder.clauses.lits
-    while len(heap) > 1:
-        (na, _, a), (nb, _, b) = heapq.heappop(heap), heapq.heappop(heap)
-        size = 1 << (max(na, nb) - 1).bit_length()
-        steps, outs = reference_merge_program(size)
-        wires = [-1] * (size - na) + a + [-1] * (size - nb) + b
-        n = builder.num_vars
-        for x, y in steps:
-            p, q = wires[x], wires[y]
-            if p == q:
-                wires += (p, p)
-            elif p == -q:
-                wires += (1, -1)
-            elif p == 1 or q == -1:
-                wires += (p, q)
-            elif q == 1 or p == -1:
-                wires += (q, p)
-            else:
-                hi, lo = n + 1, n + 2
-                n = lo
-                stream += (
-                    hi, -p, 0, hi, -q, 0, -hi, p, q, 0,
-                    -lo, p, 0, -lo, q, 0, lo, -p, -q, 0,
-                )
-                wires += (hi, lo)
-        builder.clauses.count += 3 * (n - builder.num_vars)
-        builder.num_vars = n
-        merged = [wires[w] for w in outs[2 * size - na - nb:]]
-        heapq.heappush(heap, (na + nb, order, merged))
-        order += 1
-    return heap[0][2][::-1] if heap else []
-
-
 def reference_add_clause(builder, lits) -> None:
     """Reference for ``CnfBuilder.add_clause``: one scan that keeps the
     literals seen so far in a list."""
@@ -506,6 +434,16 @@ def _prediction_table(netlist: Netlist, schema: FeatureSchema) -> list[InputReco
     ]
 
 
+def check_phi(x_bits, x_prime_bits, schema: FeatureSchema, eps: int, mode: str) -> bool:
+    """``phi_on_values`` on a pair of input bit vectors: ill-formed inputs
+    raise DataError, and a mode other than fair or robust ValueError."""
+    if mode not in (FAIR, ROBUST):
+        raise ValueError(f"mode must be {FAIR!r} or {ROBUST!r}, got {mode!r}")
+    values = schema.decode_bits(x_bits)
+    values_p = schema.decode_bits(x_prime_bits)
+    return phi_on_values(values, values_p, schema, eps, mode)
+
+
 def brute_force_verify(
     netlist: Netlist, schema: FeatureSchema, mode: str, eps: int, kappa: Fraction
 ) -> Verdict:
@@ -553,11 +491,13 @@ def brute_force_min_kappa(
 
 def sleeping_solver(tmp_path, answered: int = 0) -> Path:
     """A solver that hands its first ``answered`` calls to the built-in and
-    sleeps through every later one."""
+    sleeps through every later one. Each call writes its pid, which its
+    ``exec`` keeps, to ``tmp_path / "pid"``."""
     counter = tmp_path / "calls"
     exe = tmp_path / "sleepy-solver"
     exe.write_text(
         "#!/bin/sh\n"
+        f"echo $$ > '{tmp_path / 'pid'}'\n"
         f"calls=$(cat '{counter}' 2>/dev/null || echo 0)\n"
         f"echo $((calls + 1)) > '{counter}'\n"
         f"[ \"$calls\" -lt {answered} ] || exec sleep 30\n"

@@ -3,8 +3,10 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -267,6 +269,48 @@ class TestAttainableTimeout:
         assert [p["status"] for p in result["probes"]] == ["holds"]
         assert code == 0 and result["converged"] is True
         assert result["attainable"] is None
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` names a live process. A zombie has ended: nothing may
+    ever reap an orphan's."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigterm_stops_solver_and_removes_dimacs(files, tmp_path):
+    pid_file = tmp_path / "pid"
+    src = str(Path(lgnsat.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "lgnsat", "verify", str(files["flip"]),
+            "-s", str(files["schema"]), "--mode", "fair", "--kappa", "1/2",
+            "--solver", str(sleeping_solver(tmp_path)), "--timeout", "60",
+        ],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": src, "TMPDIR": str(tmp_path)},
+    )
+    solver_pid = None
+    try:
+        deadline = time.monotonic() + 30
+        while not solver_pid and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.05)
+            text = pid_file.read_text() if pid_file.exists() else ""
+            solver_pid = int(text) if text.strip() else None
+        assert solver_pid, "the solver did not start"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        assert not _running(solver_pid)
+        assert not list(tmp_path.glob("lgnsat-*.cnf"))
+    finally:
+        proc.kill()
+        proc.wait()
+        if solver_pid and _running(solver_pid):
+            os.kill(solver_pid, signal.SIGKILL)
 
 
 class TestEncode:

@@ -13,7 +13,6 @@ from helpers import (
     input_ref,
     interpret,
     reference_add_clause,
-    reference_sort_block,
     render_dimacs,
 )
 
@@ -328,18 +327,18 @@ def _mixed_literals(rng: random.Random, n: int, num_vars: int) -> list[int]:
     return [rng.choice(pool) for _ in range(n)]
 
 
+def _check_sort(lits, run, num_vars):
+    b = CnfBuilder()
+    b.new_vars(num_vars - 1)
+    oracle = OracleSorter(num_vars)
+    assert b.sort_block(lits, run=run) == oracle.sort(lits, run=run)
+    assert b.num_vars == oracle.num_vars
+    assert list(b.clauses)[1:] == oracle.clauses
+
+
 class TestSortBlockMatchesOracle:
     """sort_block gives the same literals, variables and clauses, in the same
     order, as the recursive odd-even merge in helpers."""
-
-    @staticmethod
-    def check(lits, run, num_vars):
-        b = CnfBuilder()
-        b.new_vars(num_vars - 1)
-        oracle = OracleSorter(num_vars)
-        assert b.sort_block(lits, run=run) == oracle.sort(lits, run=run)
-        assert b.num_vars == oracle.num_vars
-        assert list(b.clauses)[1:] == oracle.clauses
 
     @pytest.mark.parametrize("run", (1, 2, 3))
     def test_mixed_inputs(self, run):
@@ -347,7 +346,7 @@ class TestSortBlockMatchesOracle:
         rng = random.Random(run)
         for n in range(1, 129):
             num_vars = rng.randint(2, max(2, n // 2))
-            self.check(_mixed_literals(rng, n, num_vars), run, num_vars)
+            _check_sort(_mixed_literals(rng, n, num_vars), run, num_vars)
 
     @pytest.mark.parametrize("size", range(1, 65))
     def test_every_merge_size(self, size):
@@ -356,8 +355,8 @@ class TestSortBlockMatchesOracle:
         rng = random.Random(size)
         for n in (2 * size, 2 * size - 1):
             num_vars = size + 1
-            self.check(_mixed_literals(rng, n, num_vars), size, num_vars)
-            self.check(list(range(2, n + 2)), size, n + 1)
+            _check_sort(_mixed_literals(rng, n, num_vars), size, num_vars)
+            _check_sort(list(range(2, n + 2)), size, n + 1)
 
 
 # (len(lits), run) of the sorts in the benchmark's queries: the Adult
@@ -372,24 +371,16 @@ def _same_state(new: CnfBuilder, ref: CnfBuilder) -> None:
 
 
 class TestSortBlockMatchesReference:
-    """sort_block, run as one cached program per (len(lits), run), writes the
-    same stream, variables and outputs as the heap-driven merge loop kept in
-    helpers."""
-
-    @staticmethod
-    def check(lits, run, num_vars):
-        new, ref = CnfBuilder(), CnfBuilder()
-        for b in (new, ref):
-            b.new_vars(num_vars - 1)
-        assert new.sort_block(lits, run=run) == reference_sort_block(ref, lits, run=run)
-        _same_state(new, ref)
+    """sort_block against the same oracle, the one sort reference, on run
+    lengths 1, 2, 3, 5, 7 and n for every n up to 70, and on the sorts of
+    the benchmark's queries."""
 
     @pytest.mark.parametrize("n", range(1, 71))
     def test_runs(self, n):
         rng = random.Random(n)
         for run in sorted({1, 2, 3, 5, 7, n}):
             num_vars = rng.randint(2, max(2, n // 2))
-            self.check(_mixed_literals(rng, n, num_vars), run, num_vars)
+            _check_sort(_mixed_literals(rng, n, num_vars), run, num_vars)
 
     @pytest.mark.parametrize("n,run", BENCHMARK_SORTS)
     def test_benchmark_shapes(self, n, run):
@@ -404,10 +395,10 @@ class TestSortBlockMatchesReference:
             b.new_vars(num_vars - 1)
             lits = [l for k in range(0, n, run) for l in b.sort_block(lits[k:k + run])]
             num_vars = b.num_vars
-        self.check(lits, run, num_vars)
+        _check_sort(lits, run, num_vars)
 
     def test_empty(self):
-        self.check([], 1, 2)
+        _check_sort([], 1, 2)
 
 
 class TestAddClauseMatchesReference:

@@ -342,7 +342,7 @@ class TestBuildQuery:
 
 
 class TestPinnedQueryBytes:
-    """DIMACS and sidecar bytes of two seeded queries, pinned so that a
+    """DIMACS and sidecar bytes of three seeded queries, pinned so that a
     change meant to speed up the encoder cannot change what it writes."""
 
     @pytest.mark.parametrize(
@@ -362,8 +362,15 @@ class TestPinnedQueryBytes:
                 "6037d26a25f077838c835a8e5d5b9287335454c8aa0701b3b66b0259fa52252b",
                 "2068f79954d15f1f1ee7e5033b1a3b67fe2b6d26619155a04e222c9f66c3e21d",
             ),
+            (
+                ten_class_schema(),
+                (60, [1000, 1000, 500], 5, 100),
+                PropertyQuery("robust", 1, Fraction(2, 5)),
+                "6da52c5dcc673606fead5dceffd4ff35be0b9d4d53cf8f82efa589c68e2b330c",
+                "e6027ba2c873ed31ab264bcf0b467b2aba203e58c65af132e97ca9b2e29a8108",
+            ),
         ],
-        ids=["adult-fair", "ten-class-robust"],
+        ids=["adult-fair", "ten-class-robust", "five-class-robust"],
     )
     def test_dimacs_and_sidecar(self, schema, shape, query, dimacs_sha, sidecar_sha):
         net = random_netlist(*shape, seed=1)

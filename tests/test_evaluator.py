@@ -10,6 +10,7 @@ from helpers import (
     InstanceTooLargeError,
     brute_force_min_kappa,
     brute_force_verify,
+    check_phi,
     enumerate_inputs,
     gate_ref,
     input_ref,
@@ -22,7 +23,6 @@ from lgnsat.evaluator import (
     FAIR,
     HOLDS,
     ROBUST,
-    check_phi,
     confidence_of,
     forward,
     predict,

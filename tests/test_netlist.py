@@ -435,6 +435,31 @@ class TestSchemaRoundTrip:
         assert parse_schema(data) == schema
         assert serialize_schema(parse_schema(data)) == data
 
+    def test_random_bounds_round_trip_exactly(self):
+        # Random doubles need up to 17 significant digits; ``:g`` kept six,
+        # so 1234567.0 came back as 1234570.0.
+        rng = random.Random(11)
+        for _ in range(300):
+            bits = rng.randint(1, 4)
+            scale = 10.0 ** rng.randint(-8, 12)
+            lo, hi = sorted(rng.uniform(-scale, scale) for _ in range(2))
+            cuts = sorted(rng.uniform(lo, hi) for _ in range(bits))
+            schema = FeatureSchema((
+                NumericFeature("a", bits, lo, hi),
+                NumericFeature("b", bits, lo, hi, thresholds=tuple(cuts)),
+                CategoricalFeature("g", 2),
+            ))
+            assert parse_schema(serialize_schema(schema)) == schema
+        for value in (1234567.0, 20.0000001):
+            schema = FeatureSchema((NumericFeature("a", 1, 0.0, 2e7, thresholds=(value,)),))
+            assert parse_schema(serialize_schema(schema)) == schema
+
+    def test_six_digit_bounds_keep_their_text(self):
+        schema = FeatureSchema((
+            NumericFeature("a", 2, -0.5, 1e16, thresholds=(1e-05, 123456.0)),
+        ))
+        assert serialize_schema(schema) == b"num a bits=2 lo=-0.5 hi=1e+16 thresholds=1e-05,123456\n"
+
     def test_byte_order_mark_accepted(self):
         schema = FeatureSchema((NumericFeature("age", 4, 18.0, 90.0), CategoricalFeature("g", 2)))
         assert parse_schema(codecs.BOM_UTF8 + serialize_schema(schema)) == schema

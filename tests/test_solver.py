@@ -10,14 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import adult_schema, models_over, ten_class_schema
+from helpers import adult_schema, check_phi, models_over, ten_class_schema
 
 from lgnsat import solver as solver_module
 from lgnsat.cnf import CnfBuilder
 from lgnsat.driver import verify_at
 from lgnsat.encoder import PropertyQuery, build_query
 from lgnsat.errors import SolverNotFoundError, SolverOutputError
-from lgnsat.evaluator import COUNTEREXAMPLE, check_phi
+from lgnsat.evaluator import COUNTEREXAMPLE
 from lgnsat.netlist import random_netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 from lgnsat.solver import (
