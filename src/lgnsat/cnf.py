@@ -21,9 +21,11 @@ the comparators of each such shape are listed once, by Batcher's recursion
 (merge the even wires, merge the odd wires, then compare across), into a
 cached program that every sort of that shape runs as one flat loop.
 
-Clauses are kept as one flat DIMACS literal stream, each clause's literals
-followed by 0, the layout of a solver's clause arena. Writing DIMACS is then
-one format pass over the stream plus two byte replaces that end the lines.
+Clauses are kept as one flat stream of their literals, with no terminators,
+next to its DIMACS line format: ``%d `` per literal and ``0\n`` at each
+clause's end. Each writer appends a constant format chunk for the clauses
+it adds, so writing DIMACS is the header plus one format pass, and the
+clause-ending 0s are never formatted.
 """
 
 from __future__ import annotations
@@ -43,32 +45,51 @@ FALSE_LIT: Lit = -1
 
 
 class Clauses:
-    """Clauses as one flat stream: each clause's literals, then 0.
+    """Clauses as a flat literal stream and its DIMACS line format.
 
-    ``lits`` is a list while a builder appends to it and a tuple in a
-    finished formula; ``count`` is the number of clauses. Iterating yields
-    each clause as a tuple of literals."""
+    ``lits`` holds every clause's literals back to back, with no
+    terminator. ``fmt`` holds, in the same order, ``%d `` per literal and
+    ``0\n`` at each clause's end, so ``fmt % tuple(lits)`` is the DIMACS
+    body. A builder appends to a list and a bytearray; a finished formula
+    holds a tuple and bytes. ``count`` is the number of clauses. Iterating
+    yields each clause as a tuple of literals."""
 
-    __slots__ = ("lits", "count")
+    __slots__ = ("lits", "fmt", "count")
 
-    def __init__(self, lits, count: int):
+    def __init__(self, lits, fmt, count: int):
         self.lits = lits
+        self.fmt = fmt
         self.count = count
 
-    def extend(self, lits, count: int) -> None:
-        """Append ``count`` clauses, given as stream entries."""
+    def extend(self, lits, fmt: bytes, count: int) -> None:
+        """Append ``count`` clauses: their literals and their lines' format."""
         self.lits += lits
+        self.fmt += fmt
         self.count += count
 
     def __len__(self) -> int:
         return self.count
 
     def __iter__(self):
+        # A line of k literals is "%d " k times, then "0".
         lits, start = self.lits, 0
-        for _ in range(self.count):
-            end = lits.index(0, start)
+        for line in self.fmt.splitlines():
+            end = start + len(line) // 3
             yield tuple(lits[start:end])
-            start = end + 1
+            start = end
+
+
+def _line_format(size: int) -> bytes:
+    """The format of one clause line of ``size`` literals."""
+    return b"%d " * size + b"0\n"
+
+
+# The format chunks of the clauses lit_and and lit_or write (two binary
+# clauses, then a ternary one), of lit_xor's four ternary clauses, and of
+# one sort comparator, an OR then an AND.
+_GATE_FORMAT = _line_format(2) * 2 + _line_format(3)
+_XOR_FORMAT = _line_format(3) * 4
+_COMPARATOR_FORMAT = _GATE_FORMAT * 2
 
 
 @dataclass(frozen=True)
@@ -76,7 +97,7 @@ class CnfFormula:
     """Immutable finished formula; shareable across threads.
 
     ``clauses`` is a ``Clauses`` stream; any other iterable of clauses
-    given here is flattened into one."""
+    given here is flattened into one, with one format line per clause."""
 
     num_vars: int
     clauses: Clauses
@@ -84,21 +105,20 @@ class CnfFormula:
     def __post_init__(self):
         if not isinstance(self.clauses, Clauses):
             clauses = tuple(self.clauses)
-            lits = tuple(lit for clause in clauses for lit in (*clause, 0))
-            object.__setattr__(self, "clauses", Clauses(lits, len(clauses)))
+            lits = tuple(lit for clause in clauses for lit in clause)
+            fmt = b"".join(_line_format(len(clause)) for clause in clauses)
+            object.__setattr__(self, "clauses", Clauses(lits, fmt, len(clauses)))
 
 
 def to_dimacs(formula: CnfFormula) -> bytes:
     """Standard DIMACS CNF bytes; deterministic for a given formula.
 
-    One format pass writes every entry of the stream followed by a space.
-    Each " 0 " then ends its clause's line. An empty clause's 0 has no
-    space before it, since the match before took that space, so once the
-    header is joined on, each line that starts "0 " is ended too."""
-    lits = formula.clauses.lits
-    body = (b"%d " * len(lits) % tuple(lits)).replace(b" 0 ", b" 0\n")
-    header = b"p cnf %d %d\n" % (formula.num_vars, len(formula.clauses))
-    return (header + body).replace(b"\n0 ", b"\n0\n")
+    The header, then one format pass of the literal stream through its
+    line format, which ends each clause with "0" and a line end; an empty
+    clause is a line of its own "0"."""
+    clauses = formula.clauses
+    header = b"p cnf %d %d\n" % (formula.num_vars, len(clauses))
+    return header + clauses.fmt % tuple(clauses.lits)
 
 
 _AND, _OR, _XOR, _A, _B, _CONST = range(6)
@@ -131,7 +151,7 @@ class CnfBuilder:
 
     def __init__(self):
         self.num_vars = 1
-        self.clauses = Clauses([TRUE_LIT, 0], 1)
+        self.clauses = Clauses([TRUE_LIT], bytearray(_line_format(1)), 1)
 
     def new_var(self) -> Lit:
         self.num_vars += 1
@@ -169,16 +189,20 @@ class CnfBuilder:
                 if lit not in seen:
                     seen.append(lit)
         # A clause of only falsified constants is an explicit falsum.
-        self.clauses.extend((*seen, 0) if seen else (FALSE_LIT, 0), 1)
+        seen = seen or (FALSE_LIT,)
+        self.clauses.extend(seen, _line_format(len(seen)), 1)
 
     def build(self) -> CnfFormula:
         clauses = self.clauses
-        return CnfFormula(self.num_vars, Clauses(tuple(clauses.lits), clauses.count))
+        return CnfFormula(
+            self.num_vars, Clauses(tuple(clauses.lits), bytes(clauses.fmt), clauses.count)
+        )
 
     # -- folded connectives -------------------------------------------------
     # Once the folds have run, a and b are distinct non-constant literals
     # with a != -b and o is fresh, so the defining clauses need none of
-    # add_clause's normalisation and are appended directly to the stream.
+    # add_clause's normalisation and are appended directly to the stream,
+    # with their constant format chunk.
 
     def lit_and(self, a: Lit, b: Lit) -> Lit:
         if a == FALSE_LIT or b == FALSE_LIT or a == -b:
@@ -188,7 +212,7 @@ class CnfBuilder:
         if b == TRUE_LIT or a == b:
             return a
         o = self.new_var()
-        self.clauses.extend((-o, a, 0, -o, b, 0, o, -a, -b, 0), 3)
+        self.clauses.extend((-o, a, -o, b, o, -a, -b), _GATE_FORMAT, 3)
         return o
 
     def lit_or(self, a: Lit, b: Lit) -> Lit:
@@ -199,7 +223,7 @@ class CnfBuilder:
         if b == FALSE_LIT or a == b:
             return a
         o = self.new_var()
-        self.clauses.extend((o, -a, 0, o, -b, 0, -o, a, b, 0), 3)
+        self.clauses.extend((o, -a, o, -b, -o, a, b), _GATE_FORMAT, 3)
         return o
 
     def lit_xor(self, a: Lit, b: Lit) -> Lit:
@@ -216,7 +240,7 @@ class CnfBuilder:
         if a == -b:
             return TRUE_LIT
         o = self.new_var()
-        self.clauses.extend((-o, a, b, 0, -o, -a, -b, 0, o, -a, b, 0, o, a, -b, 0), 4)
+        self.clauses.extend((-o, a, b, -o, -a, -b, o, -a, b, o, a, -b), _XOR_FORMAT, 4)
         return o
 
     # -- gates and networks --------------------------------------------------
@@ -295,14 +319,13 @@ class CnfBuilder:
             else:
                 hi, lo = n + 1, n + 2
                 n = lo
-                stream += (
-                    hi, -p, 0, hi, -q, 0, -hi, p, q, 0,
-                    -lo, p, 0, -lo, q, 0, lo, -p, -q, 0,
-                )
+                stream += (hi, -p, hi, -q, -hi, p, q, -lo, p, -lo, q, lo, -p, -q)
                 add(hi)
                 add(lo)
         # Each comparator that did not fold made 2 variables and 6 clauses.
-        self.clauses.count += 3 * (n - self.num_vars)
+        made = (n - self.num_vars) // 2
+        self.clauses.fmt += _COMPARATOR_FORMAT * made
+        self.clauses.count += 6 * made
         self.num_vars = n
         return list(map(wires.__getitem__, outs))
 
@@ -313,11 +336,18 @@ def _sort_program(n: int, run: int) -> tuple[array, array, array]:
     ``run``, as three int arrays (4 bytes a wire) that every caller only
     reads. Wires 0..n-1 hold the inputs and wire n constant FALSE; step k
     reads wires (xs[k], ys[k]) and writes wire n+1+2k (hi) and the wire
-    after it (lo). ``outs`` lists the output wires, s[0] first."""
+    after it (lo). ``outs`` lists the output wires, s[0] first.
+
+    A comparator with the FALSE wire as an input always folds to (the other
+    input, FALSE) and makes no variable, so it is resolved here and no step
+    reads wire n."""
     xs, ys = array("i"), array("i")
 
     def comparator(x: int, y: int) -> list[int]:
-        """Appends a step; returns the wires it writes, (lo, hi)."""
+        """Appends a step unless an input is the FALSE wire; returns the
+        output wires, (lo, hi)."""
+        if x == n or y == n:
+            return [n, x + y - n]
         xs.append(x)
         ys.append(y)
         hi = n - 1 + 2 * len(xs)

@@ -357,7 +357,9 @@ def reference_add_clause(builder, lits) -> None:
             return
         if lit not in seen:
             seen.append(lit)
-    builder.clauses.extend((*seen, 0) if seen else (-1, 0), 1)
+    if not seen:
+        seen = [-1]
+    builder.clauses.extend(seen, b"%d " * len(seen) + b"0\n", 1)
 
 
 def reference_emit_winning(builder, sorted_blocks) -> list[int]:

@@ -17,7 +17,7 @@ from helpers import (
 )
 
 from lgnsat import cnf
-from lgnsat.cnf import FALSE_LIT, TRUE_LIT, Clauses, CnfBuilder, CnfFormula, to_dimacs
+from lgnsat.cnf import FALSE_LIT, TRUE_LIT, CnfBuilder, CnfFormula, to_dimacs
 from lgnsat.netlist import Netlist, random_netlist
 
 
@@ -301,10 +301,12 @@ class TestComparator:
         else:
             getattr(b, connective)(*pair)
         appended = tuple(b.clauses)[1:]
-        b.clauses = Clauses([TRUE_LIT, 0], 1)
+        direct = (list(b.clauses.lits), bytes(b.clauses.fmt))
+        b.clauses = CnfBuilder().clauses
         for clause in appended:
             b.add_clause(clause)
         assert tuple(b.clauses)[1:] == appended
+        assert (b.clauses.lits, b.clauses.fmt) == direct
 
     def test_folding_unchanged(self):
         b = CnfBuilder()
@@ -366,6 +368,7 @@ BENCHMARK_SORTS = ((500, 1), (1000, 500), (100, 1), (1000, 100))
 
 def _same_state(new: CnfBuilder, ref: CnfBuilder) -> None:
     assert new.clauses.lits == ref.clauses.lits
+    assert new.clauses.fmt == ref.clauses.fmt
     assert len(new.clauses) == len(ref.clauses)
     assert new.num_vars == ref.num_vars
 
@@ -441,7 +444,7 @@ class TestAddClauseMatchesReference:
         lits = list(range(2, 20_002))
         b.add_clause(lits + [-20_001])
         b.add_clause(lits + [FALSE_LIT])
-        assert b.clauses.lits == [TRUE_LIT, 0, *lits, 0] and len(b.clauses) == 2
+        assert tuple(b.clauses) == ((TRUE_LIT,), tuple(lits)) and len(b.clauses) == 2
 
 
 def test_program_cache_memory():
@@ -459,6 +462,61 @@ def test_program_cache_memory():
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize(
+    "shape,steps", zip(BENCHMARK_SORTS, (9_505, 4_489, 1_077, 13_657)), ids=str
+)
+def test_sort_program_resolves_false_padding(shape, steps):
+    # A comparator with the padding wire n as an input always folds to
+    # (the other input, FALSE), so it is resolved while the program is
+    # traced and no step reads wire n.
+    n = shape[0]
+    xs, ys, _ = cnf._sort_program(*shape)
+    assert len(xs) == len(ys) == steps
+    assert n not in xs and n not in ys
+
+
+class TestClauseStreamInvariants:
+    """One builder driven through every writer. After each step the format
+    holds a line per clause and a %d per literal, and the DIMACS is that of
+    one join per clause, whether written from the stream or from the
+    clauses given as tuples."""
+
+    @staticmethod
+    def check(b):
+        clauses = b.clauses
+        assert clauses.fmt.count(b"\n") == len(clauses)
+        assert clauses.fmt.count(b"%d") == len(clauses.lits)
+        listed = list(clauses)
+        expected = render_dimacs(b.num_vars, listed)
+        assert to_dimacs(b.build()) == expected
+        assert to_dimacs(CnfFormula(b.num_vars, listed)) == expected
+
+    def test_every_writer(self):
+        b = CnfBuilder()
+        x, y, z, *rest = b.new_vars(40)
+        steps = [
+            (b.add_clause, ((x, -x),)),
+            (b.add_clause, ((x, x, y),)),
+            (b.add_clause, ((FALSE_LIT, FALSE_LIT),)),
+            (b.add_clause, ((),)),
+            (b.add_clause, ([FALSE_LIT, *rest, x, -z, *rest],)),
+            *(
+                (getattr(b, name), pair)
+                for name in ("lit_and", "lit_or", "lit_xor")
+                for pair in ((x, TRUE_LIT), (FALSE_LIT, y), (x, -x), (x, y), (-y, z))
+            ),
+            (b.sort_block, ([x, TRUE_LIT, -y, FALSE_LIT, z, x],)),
+        ]
+        for write, args in steps:
+            write(*args)
+            self.check(b)
+        runs = b.sort_block([x, y, TRUE_LIT]) + b.sort_block([-z, FALSE_LIT, y, *rest[:3]])
+        self.check(b)
+        b.sort_block(runs, run=3)
+        self.check(b)
+        assert len(b.clauses) > 30
+
+
 class TestDimacs:
     def test_exact_bytes(self):
         b = CnfBuilder()
@@ -469,9 +527,8 @@ class TestDimacs:
         assert to_dimacs(b.build()) == b"p cnf 3 4\n1 0\n2 -3 0\n-2 0\n-1 0\n"
 
     def test_matches_one_join_per_clause(self):
-        # The stream writer ends lines by replacing " 0 " and, for empty
-        # clauses, "\n0 ": literals whose digits hold 0 and runs of empty
-        # clauses are the cases that could fool it.
+        # Literals whose digits hold 0 and runs of empty clauses are the
+        # cases a writer that found line ends by their 0s would get wrong.
         rng = random.Random(11)
 
         def clause(size):
@@ -528,13 +585,13 @@ class TestDimacs:
 
 class TestClauseBookkeeping:
     """The builder counts clauses next to the flat stream instead of
-    counting terminators; after every step the count must equal the 0s in
-    the stream and the count in the DIMACS header."""
+    counting line ends; after every step the count must equal the lines of
+    the stream's format and the count in the DIMACS header."""
 
     @staticmethod
     def check(b):
         header = to_dimacs(b.build()).split(b"\n", 1)[0].split()
-        assert len(b.clauses) == b.clauses.lits.count(0) == int(header[3])
+        assert len(b.clauses) == b.clauses.fmt.count(b"\n") == int(header[3])
 
     @pytest.mark.parametrize("connective", ["lit_and", "lit_or", "lit_xor"])
     def test_connectives_folded_and_not(self, connective):

@@ -178,9 +178,8 @@ def _descending_block(rng: random.Random, width: int, pool) -> tuple:
 
 
 class TestWinningMatchesReference:
-    """emit_winning, which writes into the stream with the folds inline,
-    appends the same stream and variables and returns the same flags as the
-    lit_and and add_clause calls kept in helpers."""
+    """emit_winning appends the same stream and variables and returns the
+    same flags as the lit_and and add_clause calls kept in helpers."""
 
     @pytest.mark.parametrize("num_classes", [2, 3, 4, 10])
     def test_random_blocks(self, num_classes):
@@ -195,6 +194,7 @@ class TestWinningMatchesReference:
                 b.new_vars(num_vars - 1)
             assert emit_winning(new, blocks) == reference_emit_winning(ref, blocks)
             assert new.clauses.lits == ref.clauses.lits
+            assert new.clauses.fmt == ref.clauses.fmt
             assert len(new.clauses) == len(ref.clauses)
             assert new.num_vars == ref.num_vars
 
@@ -381,10 +381,10 @@ class TestPinnedQueryBytes:
 
 def test_adult_query_clause_count_matches_stream():
     # The builder counts sort_block's clauses from the variables it made
-    # (6 clauses per 2); the count must still match the stream's 0s and
-    # the DIMACS header on a full Adult-shaped query.
+    # (6 clauses per 2); the count must still match the lines of the
+    # stream's format and the DIMACS header on a full Adult-shaped query.
     net = random_netlist(100, [2000, 2000, 2000, 1000], 2, 500, seed=2)
     formula, _ = build_query(net, adult_schema(), PropertyQuery("fair", 1, Fraction(3, 4)))
     header = to_dimacs(formula).split(b"\n", 1)[0].split()
-    assert len(formula.clauses) == formula.clauses.lits.count(0) == int(header[3])
+    assert len(formula.clauses) == formula.clauses.fmt.count(b"\n") == int(header[3])
     assert len(formula.clauses) > 100_000
