@@ -193,10 +193,9 @@ def emit_confidence_gt(
 
     The block index floor(i*kappa) is exact integer arithmetic; indices
     beyond the block width become the FALSE constant, which makes over-tight
-    demands unsatisfiable rather than silently dropped.
+    demands unsatisfiable rather than silently dropped. ``kappa`` lies in
+    [0, 1], as ``PropertyQuery`` checks.
     """
-    if not 0 <= kappa <= 1:
-        raise QueryBuildError(f"kappa must be in [0, 1], got {kappa}")
     width = len(sorted_blocks[0])
     p, q = kappa.numerator, kappa.denominator
     for i in range(1, len(total_sorted) + 1):

@@ -151,7 +151,7 @@ def validate(netlist: Netlist, schema=None) -> ValidationReport:
 def schema_violations(netlist: Netlist, schema) -> list[str]:
     """The schema half of validate(): the schema's own invariants, and its
     total bit width against the netlist's input width."""
-    v = schema.invariant_violations()
+    v = [message for _, message in schema.located_violations()]
     if schema.width != netlist.input_width:
         v.append(
             f"schema width {schema.width} != netlist input_width "

@@ -100,9 +100,6 @@ class FeatureSchema:
     def sensitive_features(self) -> list[CategoricalFeature]:
         return [f for f in self.features if f.sensitive]
 
-    def invariant_violations(self) -> list[str]:
-        return [message for _, message in self.located_violations()]
-
     def located_violations(self) -> list[tuple[int | None, str]]:
         """Each violated invariant with the index of the feature that breaks
         it (for a duplicate name, its second occurrence), or None for one of

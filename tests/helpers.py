@@ -362,36 +362,6 @@ def reference_add_clause(builder, lits) -> None:
     builder.clauses.extend(seen, b"%d " * len(seen) + b"0\n", 1)
 
 
-def reference_emit_winning(builder, sorted_blocks) -> list[int]:
-    """Reference for ``lgnsat.encoder.emit_winning``: the prefix maxima of
-    the blocks below each class, then the suffix maxima of the blocks above
-    it, one ``lit_or`` per position and step; then per class one ``lit_and``
-    per position against its lower maximum and one normalised clause per
-    position against its upper maximum, each through the builder's calls."""
-    num_classes = len(sorted_blocks)
-    width = len(sorted_blocks[0])
-    winners = builder.new_vars(num_classes)
-    lower = [None, sorted_blocks[0]]
-    for c in range(2, num_classes):
-        prev = lower[c - 1]
-        lower.append([builder.lit_or(prev[k], sorted_blocks[c - 1][k]) for k in range(width)])
-    upper = [None] * num_classes
-    upper[num_classes - 2] = sorted_blocks[num_classes - 1]
-    for c in range(num_classes - 3, -1, -1):
-        prev = upper[c + 1]
-        upper[c] = [builder.lit_or(prev[k], sorted_blocks[c + 1][k]) for k in range(width)]
-    for c in range(num_classes):
-        s_c = sorted_blocks[c]
-        if c > 0:
-            beats = [builder.lit_and(s_c[k], -lower[c][k]) for k in range(width)]
-            reference_add_clause(builder, [-winners[c]] + beats)
-        if c < num_classes - 1:
-            for k in range(width):
-                reference_add_clause(builder, (-winners[c], -upper[c][k], s_c[k]))
-    reference_add_clause(builder, winners)
-    return winners
-
-
 # -- brute-force verification oracles ------------------------------------------
 
 # Pair-enumeration guard for the brute-force oracle.

@@ -373,6 +373,15 @@ class TestGenRandomEvalAccuracy:
         code, _ = run_cli(capsys, "eval", files["flip"], "-s", files["schema"])
         assert code == 3
 
+    @pytest.mark.parametrize("bits, message", [
+        ("012", "--bits must be a 0/1 string, got '012'"),
+        ("0", "expected 2 bits, got 1"),
+    ], ids=["not-binary", "too-short"])
+    def test_eval_rejects_bad_bits_exit_2(self, capsys, files, bits, message):
+        code, report = run_cli(capsys, "eval", files["flip"], "-s", files["schema"], "--bits", bits)
+        assert code == 2
+        assert report["error"] == {"type": "DataError", "message": message}
+
     def test_eval_matches_verify_witness(self, capsys, files):
         _, report = run_cli(
             capsys, "verify", files["flip"], "-s", files["schema"],

@@ -475,48 +475,6 @@ def test_sort_program_resolves_false_padding(shape, steps):
     assert n not in xs and n not in ys
 
 
-class TestClauseStreamInvariants:
-    """One builder driven through every writer. After each step the format
-    holds a line per clause and a %d per literal, and the DIMACS is that of
-    one join per clause, whether written from the stream or from the
-    clauses given as tuples."""
-
-    @staticmethod
-    def check(b):
-        clauses = b.clauses
-        assert clauses.fmt.count(b"\n") == len(clauses)
-        assert clauses.fmt.count(b"%d") == len(clauses.lits)
-        listed = list(clauses)
-        expected = render_dimacs(b.num_vars, listed)
-        assert to_dimacs(b.build()) == expected
-        assert to_dimacs(CnfFormula(b.num_vars, listed)) == expected
-
-    def test_every_writer(self):
-        b = CnfBuilder()
-        x, y, z, *rest = b.new_vars(40)
-        steps = [
-            (b.add_clause, ((x, -x),)),
-            (b.add_clause, ((x, x, y),)),
-            (b.add_clause, ((FALSE_LIT, FALSE_LIT),)),
-            (b.add_clause, ((),)),
-            (b.add_clause, ([FALSE_LIT, *rest, x, -z, *rest],)),
-            *(
-                (getattr(b, name), pair)
-                for name in ("lit_and", "lit_or", "lit_xor")
-                for pair in ((x, TRUE_LIT), (FALSE_LIT, y), (x, -x), (x, y), (-y, z))
-            ),
-            (b.sort_block, ([x, TRUE_LIT, -y, FALSE_LIT, z, x],)),
-        ]
-        for write, args in steps:
-            write(*args)
-            self.check(b)
-        runs = b.sort_block([x, y, TRUE_LIT]) + b.sort_block([-z, FALSE_LIT, y, *rest[:3]])
-        self.check(b)
-        b.sort_block(runs, run=3)
-        self.check(b)
-        assert len(b.clauses) > 30
-
-
 class TestDimacs:
     def test_exact_bytes(self):
         b = CnfBuilder()
@@ -585,13 +543,45 @@ class TestDimacs:
 
 class TestClauseBookkeeping:
     """The builder counts clauses next to the flat stream instead of
-    counting line ends; after every step the count must equal the lines of
-    the stream's format and the count in the DIMACS header."""
+    counting line ends. Each test drives one builder through writers; after
+    each step the format holds a line per clause and a %d per literal, and
+    the DIMACS, header count included, is that of one join per clause,
+    whether written from the stream or from the clauses given as tuples."""
 
     @staticmethod
     def check(b):
-        header = to_dimacs(b.build()).split(b"\n", 1)[0].split()
-        assert len(b.clauses) == b.clauses.fmt.count(b"\n") == int(header[3])
+        clauses = b.clauses
+        assert clauses.fmt.count(b"\n") == len(clauses)
+        assert clauses.fmt.count(b"%d") == len(clauses.lits)
+        listed = list(clauses)
+        expected = render_dimacs(b.num_vars, listed)
+        assert to_dimacs(b.build()) == expected
+        assert to_dimacs(CnfFormula(b.num_vars, listed)) == expected
+
+    def test_every_writer(self):
+        b = CnfBuilder()
+        x, y, z, *rest = b.new_vars(40)
+        steps = [
+            (b.add_clause, ((x, -x),)),
+            (b.add_clause, ((x, x, y),)),
+            (b.add_clause, ((FALSE_LIT, FALSE_LIT),)),
+            (b.add_clause, ((),)),
+            (b.add_clause, ([FALSE_LIT, *rest, x, -z, *rest],)),
+            *(
+                (getattr(b, name), pair)
+                for name in ("lit_and", "lit_or", "lit_xor")
+                for pair in ((x, TRUE_LIT), (FALSE_LIT, y), (x, -x), (x, y), (-y, z))
+            ),
+            (b.sort_block, ([x, TRUE_LIT, -y, FALSE_LIT, z, x],)),
+        ]
+        for write, args in steps:
+            write(*args)
+            self.check(b)
+        runs = b.sort_block([x, y, TRUE_LIT]) + b.sort_block([-z, FALSE_LIT, y, *rest[:3]])
+        self.check(b)
+        b.sort_block(runs, run=3)
+        self.check(b)
+        assert len(b.clauses) > 30
 
     @pytest.mark.parametrize("connective", ["lit_and", "lit_or", "lit_xor"])
     def test_connectives_folded_and_not(self, connective):

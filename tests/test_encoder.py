@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,11 +10,10 @@ from helpers import (
     count_models,
     forced_values,
     models_over,
-    reference_emit_winning,
     ten_class_schema,
 )
 
-from lgnsat.cnf import FALSE_LIT, TRUE_LIT, CnfBuilder, to_dimacs
+from lgnsat.cnf import CnfBuilder, to_dimacs
 from lgnsat.encoder import (
     PropertyQuery,
     build_query,
@@ -168,37 +166,6 @@ class TestWinning:
             assert got.index(1) == winner_of(scores), scores
 
 
-def _descending_block(rng: random.Random, width: int, pool) -> tuple:
-    """TRUE, then literals drawn from ``pool``, then FALSE: the shape of a
-    sorted block whose network folded some outputs to constants."""
-    ones = rng.randint(0, width)
-    zeros = rng.randint(0, width - ones)
-    middle = [rng.choice(pool) for _ in range(width - ones - zeros)]
-    return (TRUE_LIT,) * ones + tuple(middle) + (FALSE_LIT,) * zeros
-
-
-class TestWinningMatchesReference:
-    """emit_winning appends the same stream and variables and returns the
-    same flags as the lit_and and add_clause calls kept in helpers."""
-
-    @pytest.mark.parametrize("num_classes", [2, 3, 4, 10])
-    def test_random_blocks(self, num_classes):
-        rng = random.Random(num_classes)
-        for width in (*range(1, 13), 100):
-            # A small pool, so blocks share literals and complements.
-            num_vars = rng.randint(2, width + 2)
-            pool = [s * v for v in range(2, num_vars + 1) for s in (1, -1)]
-            blocks = [_descending_block(rng, width, pool) for _ in range(num_classes)]
-            new, ref = CnfBuilder(), CnfBuilder()
-            for b in (new, ref):
-                b.new_vars(num_vars - 1)
-            assert emit_winning(new, blocks) == reference_emit_winning(ref, blocks)
-            assert new.clauses.lits == ref.clauses.lits
-            assert new.clauses.fmt == ref.clauses.fmt
-            assert len(new.clauses) == len(ref.clauses)
-            assert new.num_vars == ref.num_vars
-
-
 class TestDiffClass:
     def test_pairwise(self):
         b = CnfBuilder()
@@ -275,11 +242,6 @@ class TestConfidence:
             ]
             # once unsatisfiable, stays unsatisfiable for larger kappa
             assert sat_at == sorted(sat_at, reverse=True), scores
-
-    def test_rejects_bad_kappa(self):
-        b = CnfBuilder()
-        with pytest.raises(QueryBuildError):
-            emit_confidence_gt(b, Fraction(3, 2), [(2,)], (2,))
 
 
 class TestBuildQuery:

@@ -66,8 +66,8 @@ class TestEncodeRow:
 
     def test_thresholds_must_ascend(self):
         f = NumericFeature("h", 3, 0.0, 80.0, thresholds=(25.0, 10.0, 40.0))
-        violations = FeatureSchema((f,)).invariant_violations()
-        assert any("not ascending" in v for v in violations)
+        violations = FeatureSchema((f,)).located_violations()
+        assert any("not ascending" in message for _, message in violations)
 
     def test_unknown_category_rejected(self):
         schema = FeatureSchema((CategoricalFeature("c", 3),))
@@ -158,6 +158,17 @@ def small_schema():
             CategoricalFeature("s", 2, sensitive=True),
         )
     )
+
+
+@pytest.mark.parametrize("convert, message", [
+    (lambda schema: schema.decode_bits((1, 0, 1)), "expected 4 bits, got 3"),
+    (lambda schema: schema.encode_values((1,)), "expected 2 values, got 1"),
+    (lambda schema: encode_row(schema, ["1"]), "expected 2 values, got 1"),
+], ids=["decode_bits", "encode_values", "encode_row"])
+def test_wrong_length_rejected(convert, message):
+    schema = FeatureSchema((NumericFeature("f", 2, 0.0, 2.0), CategoricalFeature("c", 2)))
+    with pytest.raises(DataError, match=re.escape(message)):
+        convert(schema)
 
 
 class TestLoadCsv:

@@ -14,6 +14,7 @@ from lgnsat.errors import InvalidNetlistError, NetlistFormatError, SchemaFormatE
 from lgnsat.evaluator import forward, predict
 from lgnsat.netlist import (
     Netlist,
+    check_valid,
     parse_netlist,
     random_netlist,
     serialize_netlist,
@@ -421,6 +422,31 @@ class TestRandomNetlist:
             random_netlist(0, [2], 2, 1, seed=0)
 
 
+class TestNetlistErrors:
+    """Rejections that the other netlist tests do not reach: the error
+    type and its message."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: parse_netlist("lgn 1\ninput_width 2\nnum_classes 2\nblock_size 1\nlayer\n"),
+         NetlistFormatError, "line 5: layer line with no gates"),
+        (lambda: parse_netlist("# nothing but a comment\n\n"), NetlistFormatError,
+         "line 1: empty netlist file"),
+        (lambda: parse_netlist("lgn 1\ninput_width\n"), NetlistFormatError,
+         "line 2: expected 'input_width <int>', got 'input_width'"),
+        (lambda: check_valid(Netlist(2, ((), minimal_net().layers[0]), 2, 1)),
+         InvalidNetlistError, "layer 0: empty layer"),
+        (lambda: check_valid(Netlist(2, (((16, input_ref(0), input_ref(1)),
+                                          (14, input_ref(0), input_ref(1))),), 2, 1)),
+         InvalidNetlistError, "layer 0 gate 0: op code 16 outside 0..15"),
+        (lambda: random_netlist(4, [3, 0, 2], 2, 1, seed=0), ValueError,
+         "layer sizes must be positive, got [3, 0, 2]"),
+    ], ids=["bare-layer", "empty-file", "header-without-value", "empty-layer", "op-16",
+            "layer-size-0"])
+    def test_rejected(self, make, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            make()
+
+
 class TestSchemaRoundTrip:
     def test_schema_file_round_trip(self):
         schema = FeatureSchema(
@@ -488,10 +514,13 @@ class TestSchemaErrors:
         ("cat g arity=2\nnum a bits=2 lo=0 hi=1\n\ncat g arity=3\ncat h arity=1", 4,
          "feature 2: duplicate name 'g'"),
         ("# nothing but a comment\n", None, "schema has no features"),
+        ("num a bits=0 lo=0 hi=1", 1, "'a': bits must be >= 1"),
+        ("num a bits=2 lo=0 hi=3 thresholds=1", 1, "'a': 1 thresholds for 2 bits"),
+        ("cat g arity=2\nnum a bits lo=0 hi=1", 2, "expected key=value, got 'bits'"),
     ], ids=["missing-key", "duplicate-key", "unknown-kind", "bits-1_0", "arity-+2",
             "unsorted-thresholds", "arity-1", "hi-inf", "lo-nan", "lo-above-hi",
             "threshold-inf", "thresholds-above-hi", "threshold-below-lo", "duplicate-name",
-            "no-features"])
+            "no-features", "bits-0", "too-few-thresholds", "key-without-value"])
     def test_rejected(self, text, line, message):
         with pytest.raises(SchemaFormatError, match=re.escape(message)) as exc:
             parse_schema(text)
