@@ -69,6 +69,14 @@ def _frac(value: Fraction) -> dict:
     return {"exact": str(value), "float": float(value)}
 
 
+def _fraction(text) -> Fraction:
+    """A threshold option's exact value; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _read_inputs(args, *roles: str) -> tuple[dict, list[bytes]]:
     """Read each named input file once. Returns the report's ``inputs``
     entry (path and the sha256 of the bytes read, per role) and the bytes,
@@ -156,7 +164,7 @@ def cmd_validate(args) -> Outcome:
 
 def cmd_verify(args) -> Outcome:
     inputs, netlist, schema = _load(args)
-    kappa = Fraction(args.kappa)
+    kappa = _fraction(args.kappa)
     verdict = verify_at(netlist, schema, args.mode, args.eps, kappa, _solver_config(args))
     result = {
         "status": verdict.status,
@@ -173,7 +181,7 @@ def cmd_verify(args) -> Outcome:
 def cmd_search_kappa(args) -> Outcome:
     inputs, netlist, schema = _load(args)
     config = _solver_config(args)
-    tolerance = Fraction(args.tol)
+    tolerance = _fraction(args.tol)
     result = search_min_kappa(netlist, schema, args.mode, args.eps, tolerance, config)
     attainable = None
     if result.converged:
@@ -197,7 +205,7 @@ def cmd_search_kappa(args) -> Outcome:
 
 def cmd_sweep(args) -> Outcome:
     inputs, netlist, schema = _load(args)
-    kappas = [Fraction(k) for k in args.kappas.split(",") if k.strip()]
+    kappas = [_fraction(k) for k in args.kappas.split(",") if k.strip()]
     rows = sweep(netlist, schema, args.mode, args.eps, kappas, _solver_config(args))
     payload = {
         "mode": args.mode,
@@ -213,7 +221,7 @@ def cmd_sweep(args) -> Outcome:
 
 def cmd_attainable(args) -> Outcome:
     inputs, netlist, schema = _load(args)
-    kappa = Fraction(args.kappa)
+    kappa = _fraction(args.kappa)
     attainable = check_attainable(netlist, schema, kappa, _solver_config(args))
     code = EXIT_UNKNOWN if attainable is None else (
         EXIT_HOLDS if attainable else EXIT_COUNTEREXAMPLE
@@ -224,7 +232,7 @@ def cmd_attainable(args) -> Outcome:
 
 def cmd_encode(args) -> Outcome:
     inputs, netlist, schema = _load(args)
-    query = PropertyQuery(args.mode, args.eps, Fraction(args.kappa))
+    query = PropertyQuery(args.mode, args.eps, _fraction(args.kappa))
     formula, varmap = build_query(netlist, schema, query)
     dimacs = to_dimacs(formula)
     Path(args.output).write_bytes(dimacs)
@@ -306,9 +314,17 @@ def _add_query_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=int, default=0, help="numeric tolerance (bit flips)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with ``EXIT_USAGE``, not argparse's 2, on a usage error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache  # the parser depends on no input, so build it once
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lgnsat",
         description="SAT-based global robustness/fairness verification of "
         "logic gate networks",

@@ -48,6 +48,8 @@ BUILTIN_SOLVER = str(Path(__file__).with_name("cdcl.py"))
 _STATUS_LINES = {10: (SAT, "s SATISFIABLE"), 20: (UNSAT, "s UNSATISFIABLE")}
 # A DIMACS literal: int() would also take "+1", "1_0" and non-ASCII digits.
 _LITERAL = re.compile(r"-?[0-9]+")
+# The longest wait, in seconds: poll() takes its timeout as a C int of ms.
+MAX_TIMEOUT = 2_147_483
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ class SolverConfig:
     timeout: float = 300.0
 
     def __post_init__(self):
-        if not self.timeout > 0:  # NaN fails this too
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not 0 < self.timeout <= MAX_TIMEOUT:  # NaN fails this too
+            raise ValueError(f"timeout must be > 0 and <= {MAX_TIMEOUT}, got {self.timeout}")
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,10 @@ def _cases(d: Path, sleepy: Path) -> list[list[str]]:
         ["accuracy", flip, "-s", schema, "--csv", d / "rows.csv"],
         ["accuracy", flip, "-s", schema, "--csv", d / "badlabel.csv"],
         ["accuracy", flip, "-s", schema, "--csv", d / "rows.csv", "--label-col", "nope"],
+        ["verify", flip, *fair, "--kappa", "1/0"],
+        ["search-kappa", flip, *fair, "--tol", "1/0"],
+        ["sweep", flip, *fair, "--kappas", "1/2,1/0"],
+        ["verify", flip, *fair, "--kappa", "1/2", "--timeout", "inf"],
     ]
 
 

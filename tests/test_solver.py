@@ -22,6 +22,7 @@ from lgnsat.netlist import random_netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 from lgnsat.solver import (
     BUILTIN_SOLVER,
+    MAX_TIMEOUT,
     SAT,
     UNKNOWN,
     UNSAT,
@@ -155,6 +156,11 @@ class TestSolverDiscovery:
 def test_timeout_must_be_positive(timeout):
     with pytest.raises(ValueError, match="timeout must be > 0"):
         SolverConfig(timeout=timeout)
+
+
+def test_largest_timeout_is_accepted():
+    # Popen.communicate takes it too: poll's timeout is a C int of milliseconds.
+    assert solve(trivial_sat(), SolverConfig(timeout=MAX_TIMEOUT)).status == SAT
 
 
 class TestBuiltinFallback:
