@@ -39,7 +39,7 @@ from .errors import (
 )
 from .evaluator import COUNTEREXAMPLE, HOLDS, UNKNOWN, predict
 from .ingest import accuracy, encode_row, load_csv
-from .netlist import parse_netlist, random_netlist, serialize_netlist, validate
+from .netlist import parse_netlist, random_netlist, read_int, serialize_netlist, validate
 from .schema import NumericFeature, parse_schema
 from .solver import SolverConfig
 from .cnf import to_dimacs
@@ -155,11 +155,11 @@ def cmd_validate(args) -> Outcome:
     inputs, (net_data, *schema_data) = _read_inputs(args, *roles)
     netlist = parse_netlist(net_data, run_validation=False)
     schema = parse_schema(schema_data[0]) if schema_data else None
-    report = validate(netlist, schema)
-    result = {"ok": report.ok, "violations": list(report.violations)}
-    if report.ok:
+    violations = validate(netlist, schema)
+    result = {"ok": not violations, "violations": list(violations)}
+    if not violations:
         return inputs, result, EXIT_HOLDS, "validate: ok"
-    return inputs, result, EXIT_INVALID_INPUT, f"validate: {len(report.violations)} violation(s)"
+    return inputs, result, EXIT_INVALID_INPUT, f"validate: {len(violations)} violation(s)"
 
 
 def cmd_verify(args) -> Outcome:
@@ -252,7 +252,7 @@ def cmd_encode(args) -> Outcome:
 
 
 def cmd_gen_random(args) -> Outcome:
-    layer_sizes = [int(s) for s in args.layers.split(",") if s.strip()]
+    layer_sizes = [read_int(s) for s in args.layers.split(",") if s.strip()]
     netlist = random_netlist(
         args.input_width, layer_sizes, args.classes, args.block_size, args.seed
     )
@@ -311,7 +311,7 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
 
 def _add_query_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["fair", "robust"], required=True)
-    p.add_argument("--eps", type=int, default=0, help="numeric tolerance (bit flips)")
+    p.add_argument("--eps", type=read_int, default=0, help="numeric tolerance (bit flips)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -368,11 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--varmap", default=None, help="variable-map sidecar path")
 
     p = sub.add_parser("gen-random", help="generate a random netlist")
-    p.add_argument("--input-width", "-d", type=int, required=True)
+    p.add_argument("--input-width", "-d", type=read_int, required=True)
     p.add_argument("--layers", required=True, help="comma list of layer sizes")
-    p.add_argument("--classes", "-C", type=int, required=True)
-    p.add_argument("--block-size", "-L", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--classes", "-C", type=read_int, required=True)
+    p.add_argument("--block-size", "-L", type=read_int, required=True)
+    p.add_argument("--seed", type=read_int, required=True)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_gen_random)
 

@@ -166,28 +166,14 @@ class CnfBuilder:
         """Add one clause, normalized: duplicate literals collapse,
         tautologies and clauses satisfied by the TRUE constant are elided,
         falsified constant literals are dropped."""
-        if len(lits) > 32:
-            # A dict keeps the first of each literal in order, and its
-            # lookups keep a long clause linear. A list is faster on the
-            # short clauses the encoder makes most, such as confidence
-            # clauses of C+1 literals that are mostly FALSE.
-            if TRUE_LIT in lits:
-                return
-            seen = dict.fromkeys(lits)
-            seen.pop(FALSE_LIT, None)
-            if not seen.keys().isdisjoint(map(neg, seen)):
-                return
-        else:
-            seen = []
-            for lit in lits:
-                if lit == TRUE_LIT:
-                    return
-                if lit == FALSE_LIT:
-                    continue
-                if -lit in seen:
-                    return
-                if lit not in seen:
-                    seen.append(lit)
+        if TRUE_LIT in lits:
+            return
+        # A dict keeps the first of each literal in order, and its lookups
+        # keep a long clause linear.
+        seen = dict.fromkeys(lits)
+        seen.pop(FALSE_LIT, None)
+        if not seen.keys().isdisjoint(map(neg, seen)):
+            return
         # A clause of only falsified constants is an explicit falsum.
         seen = seen or (FALSE_LIT,)
         self.clauses.extend(seen, _line_format(len(seen)), 1)

@@ -153,10 +153,8 @@ def emit_winning(b: CnfBuilder, sorted_blocks) -> list[Lit]:
 
     Per copy that is (C-2)*L chain ``lit_or`` each way and (C-1)*L
     ``lit_and``, three clauses each, plus (C-1)*L implications: about
-    (10C-16)*L clauses, where comparing every pair took 2C(C-1)*L: more
-    at C=3, equal at C=4, fewer from C=5. At C=2, lower[1] is s_0 and
-    upper[0] is s_1, so no chain variable exists and the clauses are those
-    of the pairwise form.
+    (10C-16)*L clauses. At C=2, lower[1] is s_0 and upper[0] is s_1, so no
+    chain variable exists and the clauses are those of the pairwise form.
     """
     num_classes = len(sorted_blocks)
     winners = b.new_vars(num_classes)

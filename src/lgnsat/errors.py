@@ -5,15 +5,12 @@ class LgnsatError(Exception):
     """Base class for all lgnsat errors."""
 
 
-class NetlistFormatError(LgnsatError):
-    """Netlist file is syntactically malformed.
-
-    Carries the 1-based line (and column, when known) of the offending token;
-    the column counts from the start of the line as written in the file.
-    """
+class _LocatedFormatError(LgnsatError):
+    """An input file is malformed. Carries the 1-based line (and column,
+    when known) of the problem, and the message starts with them:
+    ``line N, col M: ...``."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        loc = ""
         if line is not None:
             loc = f"line {line}" + (f", col {col}" if col is not None else "")
             message = f"{loc}: {message}"
@@ -22,14 +19,13 @@ class NetlistFormatError(LgnsatError):
         self.col = col
 
 
-class SchemaFormatError(LgnsatError):
-    """Feature schema file is malformed."""
+class NetlistFormatError(_LocatedFormatError):
+    """Netlist file is syntactically malformed; the column counts from the
+    start of the line as written in the file."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+
+class SchemaFormatError(_LocatedFormatError):
+    """Feature schema file is malformed."""
 
 
 class InvalidNetlistError(LgnsatError):

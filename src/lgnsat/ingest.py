@@ -64,8 +64,8 @@ def encode_row(schema: FeatureSchema, raw_values) -> tuple[int, ...]:
                 raise DataError(f"feature {f.name!r}: non-numeric value {raw!r}")
             buckets.append(f.bucket_of(value))
         else:
-            try:
-                cat = read_int(raw)
+            try:  # a Python int is the category itself; text must be digits
+                cat = raw if type(raw) is int else read_int(raw)
             except (TypeError, ValueError):
                 raise DataError(f"feature {f.name!r}: unknown category {raw!r}")
             buckets.append(cat)

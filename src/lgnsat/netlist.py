@@ -88,17 +88,9 @@ class Netlist:
         )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(netlist: Netlist, schema=None) -> ValidationReport:
-    """Check every structural invariant; report all violations with location.
+def validate(netlist: Netlist, schema=None) -> tuple[str, ...]:
+    """Check every structural invariant; return all violations with their
+    location, an empty tuple for a valid netlist.
 
     ``schema`` (a FeatureSchema) is optional; when given, its total bit width
     must equal the netlist's input width.
@@ -145,7 +137,7 @@ def validate(netlist: Netlist, schema=None) -> ValidationReport:
         start += len(layer)
     if schema is not None:
         v.extend(schema_violations(netlist, schema))
-    return ValidationReport(tuple(v))
+    return tuple(v)
 
 
 def schema_violations(netlist: Netlist, schema) -> list[str]:
@@ -162,9 +154,9 @@ def schema_violations(netlist: Netlist, schema) -> list[str]:
 
 def check_valid(netlist: Netlist) -> None:
     """Raise InvalidNetlistError unless validate() is clean."""
-    report = validate(netlist)
-    if not report.ok:
-        raise InvalidNetlistError(report.violations)
+    violations = validate(netlist)
+    if violations:
+        raise InvalidNetlistError(violations)
 
 
 # ---------------------------------------------------------------------------

@@ -194,12 +194,17 @@ class FeatureSchema:
 # ---------------------------------------------------------------------------
 
 
-def _parse_kv(parts: list[str], lineno: int) -> dict[str, str]:
+_KEYS = {"num": ("bits", "lo", "hi", "thresholds"), "cat": ("arity", "sensitive")}
+
+
+def _parse_kv(parts: list[str], lineno: int, kind: str) -> dict[str, str]:
     kv = {}
     for part in parts:
         if "=" not in part:
             raise SchemaFormatError(f"expected key=value, got {part!r}", line=lineno)
         key, _, val = part.partition("=")
+        if key not in _KEYS[kind]:
+            raise SchemaFormatError(f"unknown {kind} key {key!r}", line=lineno)
         if key in kv:
             raise SchemaFormatError(f"duplicate key {key!r}", line=lineno)
         kv[key] = val
@@ -221,7 +226,7 @@ def parse_schema(data: bytes | str) -> FeatureSchema:
                 f"expected 'num <name> ...' or 'cat <name> ...', got {line!r}",
                 line=lineno,
             )
-        kv = _parse_kv(parts[2:], lineno)
+        kv = _parse_kv(parts[2:], lineno, kind)
         try:
             if kind == "num":
                 thresholds = None
@@ -237,11 +242,14 @@ def parse_schema(data: bytes | str) -> FeatureSchema:
                     )
                 )
             else:
+                sensitive = kv.get("sensitive", "0")
+                if sensitive not in ("0", "1"):
+                    raise ValueError(f"sensitive must be 0 or 1, got {sensitive!r}")
                 features.append(
                     CategoricalFeature(
                         name,
                         arity=read_int(kv["arity"]),
-                        sensitive=kv.get("sensitive", "0") == "1",
+                        sensitive=sensitive == "1",
                     )
                 )
         except (KeyError, ValueError) as exc:

@@ -269,6 +269,32 @@ class TestEntryPoint:
             assert exc.value.code == 0
 
 
+class TestIntegerOptions:
+    """Integer options take the digits every integer field of the input
+    files takes: no ``_`` and no ``+``."""
+
+    @pytest.mark.parametrize("option, value", [
+        ("--eps", "1_0"), ("--seed", "1_0"), ("--input-width", "+4"),
+        ("--classes", "1_0"), ("--block-size", "1_0"), ("--layers", "4,1_0"),
+    ])
+    def test_rejected_exit_3(self, capsys, files, tmp_path, option, value):
+        out = tmp_path / "out"
+        if option == "--eps":
+            argv = ["encode", files["flip"], "-s", files["schema"], "--mode", "robust",
+                    "--kappa", "1/2", "-o", out, option, value]
+        else:
+            opts = {"--input-width": "4", "--layers": "4,2", "--classes": "2",
+                    "--block-size": "1", "--seed": "1", option: value}
+            argv = ["gen-random", "-o", out, *(x for kv in opts.items() for x in kv)]
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, out.exists()) == (3, "", False)
+        assert repr(value.split(",")[-1]) in captured.err
+
+
 class TestCachedParser:
     """``build_parser`` runs once per process; the calls that share its
     parser answer as calls with a parser of their own do."""

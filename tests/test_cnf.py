@@ -419,7 +419,7 @@ class TestAddClauseMatchesReference:
         _same_state(new, ref)
 
     def test_random_clauses(self):
-        # Lengths 0 to 48, on both sides of the switch to a dict.
+        # Lengths 0 to 48, with constants, duplicates and complementary pairs.
         rng = random.Random(5)
         for num_vars in (12, 40):
             pool = [TRUE_LIT, FALSE_LIT] + [s * v for v in range(2, num_vars) for s in (1, -1)]

@@ -76,11 +76,18 @@ class TestEncodeRow:
         with pytest.raises(DataError, match="unknown category"):
             encode_row(schema, ["blue"])
 
-    @pytest.mark.parametrize("raw", ["1_0", "+1"])
+    @pytest.mark.parametrize("raw", ["1_0", "+1", True, 2.0])
     def test_category_reads_only_digits(self, raw):
         schema = FeatureSchema((CategoricalFeature("c", 12),))
-        with pytest.raises(DataError, match=rf"^feature 'c': unknown category '{re.escape(raw)}'$"):
+        with pytest.raises(DataError, match=rf"^feature 'c': unknown category {re.escape(repr(raw))}$"):
             encode_row(schema, [raw])
+
+    def test_python_values(self):
+        schema = FeatureSchema((NumericFeature("a", 2, 0.0, 3.0), CategoricalFeature("c", 3)))
+        assert encode_row(schema, [1.5, 2]) == encode_row(schema, ["1.5", "2"]) == (1, 0, 0, 0, 1)
+        assert Dataset(schema, (((1.5, 2), 0),)).bits == ((1, 0, 0, 0, 1),)
+        with pytest.raises(DataError, match="^feature 'c': unknown category 3$"):
+            encode_row(schema, [1.5, 3])
 
     def test_round_trip_random_rows(self):
         schema = adult_like_schema()

@@ -58,7 +58,7 @@ class TestGateTruth:
 
 class TestValidate:
     def test_minimal_ok(self):
-        assert validate(minimal_net()).ok
+        assert validate(minimal_net()) == ()
 
     def test_output_count_mismatch(self):
         net = Netlist(
@@ -67,9 +67,9 @@ class TestValidate:
             2,
             3,
         )
-        report = validate(net)
-        assert not report.ok
-        assert any("output count != C*L" in v for v in report.violations)
+        violations = validate(net)
+        assert violations
+        assert any("output count != C*L" in v for v in violations)
 
     def test_same_layer_reference(self):
         net = Netlist(
@@ -78,8 +78,7 @@ class TestValidate:
             2,
             1,
         )
-        report = validate(net)
-        assert any("forward/self reference" in v for v in report.violations)
+        assert any("forward/self reference" in v for v in validate(net))
 
     def test_input_bit_range_edges(self):
         net = Netlist(
@@ -88,7 +87,7 @@ class TestValidate:
             2,
             1,
         )
-        assert validate(net).violations == (
+        assert validate(net) == (
             "layer 0 gate 0 input b: input bit 2 outside 0..1",
         )
 
@@ -106,17 +105,15 @@ class TestValidate:
             2,
             1,
         )
-        assert validate(net).ok
+        assert validate(net) == ()
 
     def test_schema_width_mismatch(self):
         schema = FeatureSchema((NumericFeature("x", 4, 0.0, 4.0),))
-        report = validate(minimal_net(), schema)
-        assert any("schema width" in v for v in report.violations)
+        assert any("schema width" in v for v in validate(minimal_net(), schema))
 
     def test_dimension_bounds(self):
         net = Netlist(0, (), 1, 0)
-        report = validate(net)
-        assert len(report.violations) >= 4
+        assert len(validate(net)) >= 4
 
 
 class TestInvalidNetlistRaises:
@@ -402,7 +399,7 @@ class TestRandomNetlist:
     def test_generated_nets_validate(self):
         for seed in range(25):
             net = random_netlist(4, [4, 6], 2, 3, seed=seed)
-            assert validate(net).ok
+            assert validate(net) == ()
 
     def test_wiring_is_adjacent_layer_only(self):
         net = random_netlist(4, [3, 2, 2], 2, 1, seed=5)
@@ -517,10 +514,15 @@ class TestSchemaErrors:
         ("num a bits=0 lo=0 hi=1", 1, "'a': bits must be >= 1"),
         ("num a bits=2 lo=0 hi=3 thresholds=1", 1, "'a': 1 thresholds for 2 bits"),
         ("cat g arity=2\nnum a bits lo=0 hi=1", 2, "expected key=value, got 'bits'"),
+        ("cat sex arity=2 sensitive=true", 1,
+         "bad feature record: sensitive must be 0 or 1, got 'true'"),
+        ("cat g arity=2\nnum a bits=2 lo=0 hi=3 threshold=1,2", 2, "unknown num key 'threshold'"),
+        ("num a bits=2 lo=0 hi=3 sensitive=1", 1, "unknown num key 'sensitive'"),
     ], ids=["missing-key", "duplicate-key", "unknown-kind", "bits-1_0", "arity-+2",
             "unsorted-thresholds", "arity-1", "hi-inf", "lo-nan", "lo-above-hi",
             "threshold-inf", "thresholds-above-hi", "threshold-below-lo", "duplicate-name",
-            "no-features", "bits-0", "too-few-thresholds", "key-without-value"])
+            "no-features", "bits-0", "too-few-thresholds", "key-without-value",
+            "sensitive-true", "misspelled-key", "sensitive-num"])
     def test_rejected(self, text, line, message):
         with pytest.raises(SchemaFormatError, match=re.escape(message)) as exc:
             parse_schema(text)
