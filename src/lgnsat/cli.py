@@ -70,7 +70,9 @@ def _frac(value: Fraction) -> dict:
 
 
 def _fraction(text) -> Fraction:
-    """A threshold option's exact value; a zero denominator is a ValueError."""
+    """A threshold option's exact value; a zero denominator or a ``_`` is a ValueError."""
+    if "_" in str(text):  # the --tol default is a Fraction
+        raise ValueError(f"invalid fraction {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -21,11 +21,11 @@ the comparators of each such shape are listed once, by Batcher's recursion
 (merge the even wires, merge the odd wires, then compare across), into a
 cached program that every sort of that shape runs as one flat loop.
 
-Clauses are kept as one flat stream of their literals, with no terminators,
-next to its DIMACS line format: ``%d `` per literal and ``0\n`` at each
-clause's end. Each writer appends a constant format chunk for the clauses
-it adds, so writing DIMACS is the header plus one format pass, and the
-clause-ending 0s are never formatted.
+Clauses are kept as chunks of DIMACS lines. Each writer appends its
+clauses' literals, with no 0 terminators, to a pending stream and a
+constant chunk (``%d `` per literal, ``0\n`` per clause) to its format.
+``encode_network`` and ``sort_block`` format that batch into a chunk as
+they return, so no query holds its literals as ints.
 """
 
 from __future__ import annotations
@@ -45,20 +45,21 @@ FALSE_LIT: Lit = -1
 
 
 class Clauses:
-    """Clauses as a flat literal stream and its DIMACS line format.
+    """Clauses as chunks of DIMACS lines and a pending batch.
 
-    ``lits`` holds every clause's literals back to back, with no
-    terminator. ``fmt`` holds, in the same order, ``%d `` per literal and
-    ``0\n`` at each clause's end, so ``fmt % tuple(lits)`` is the DIMACS
-    body. A builder appends to a list and a bytearray; a finished formula
-    holds a tuple and bytes. ``count`` is the number of clauses. Iterating
-    yields each clause as a tuple of literals."""
+    ``body`` holds a bytes chunk of lines per flush: a list in a builder, a
+    tuple in a finished formula, which has nothing pending. ``lits`` holds
+    the literals of the clauses added since, with no terminator, and
+    ``fmt`` their lines' format; ``flush`` appends ``fmt % tuple(lits)`` to
+    the body and empties both. ``count`` counts every clause. Iterating
+    flushes, then yields each clause as a tuple of literals."""
 
-    __slots__ = ("lits", "fmt", "count")
+    __slots__ = ("body", "lits", "fmt", "count")
 
-    def __init__(self, lits, fmt, count: int):
-        self.lits = lits
-        self.fmt = fmt
+    def __init__(self, body, count: int):
+        self.body = body
+        self.lits = []
+        self.fmt = bytearray()
         self.count = count
 
     def extend(self, lits, fmt: bytes, count: int) -> None:
@@ -67,16 +68,21 @@ class Clauses:
         self.fmt += fmt
         self.count += count
 
+    def flush(self) -> None:
+        """Format the pending clauses into a chunk of the body."""
+        if self.fmt:
+            self.body.append(bytes(self.fmt) % tuple(self.lits))
+            self.lits.clear()
+            self.fmt.clear()
+
     def __len__(self) -> int:
         return self.count
 
     def __iter__(self):
-        # A line of k literals is "%d " k times, then "0".
-        lits, start = self.lits, 0
-        for line in self.fmt.splitlines():
-            end = start + len(line) // 3
-            yield tuple(lits[start:end])
-            start = end
+        self.flush()
+        for chunk in self.body:
+            for line in chunk.splitlines():
+                yield tuple(map(int, line.split()[:-1]))
 
 
 def _line_format(size: int) -> bytes:
@@ -96,8 +102,8 @@ _COMPARATOR_FORMAT = _GATE_FORMAT * 2
 class CnfFormula:
     """Immutable finished formula; shareable across threads.
 
-    ``clauses`` is a ``Clauses`` stream; any other iterable of clauses
-    given here is flattened into one, with one format line per clause."""
+    ``clauses`` is a flushed ``Clauses`` with a tuple body; any other
+    iterable of clauses given here is written into one, a chunk each."""
 
     num_vars: int
     clauses: Clauses
@@ -105,20 +111,18 @@ class CnfFormula:
     def __post_init__(self):
         if not isinstance(self.clauses, Clauses):
             clauses = tuple(self.clauses)
-            lits = tuple(lit for clause in clauses for lit in clause)
-            fmt = b"".join(_line_format(len(clause)) for clause in clauses)
-            object.__setattr__(self, "clauses", Clauses(lits, fmt, len(clauses)))
+            body = tuple(_line_format(len(c)) % tuple(c) for c in clauses)
+            object.__setattr__(self, "clauses", Clauses(body, len(clauses)))
 
 
 def to_dimacs(formula: CnfFormula) -> bytes:
     """Standard DIMACS CNF bytes; deterministic for a given formula.
 
-    The header, then one format pass of the literal stream through its
-    line format, which ends each clause with "0" and a line end; an empty
-    clause is a line of its own "0"."""
+    One join of the header and the body's chunks, with no format pass:
+    each clause ends with "0" and a line end, and an empty clause is a
+    line of its own "0"."""
     clauses = formula.clauses
-    header = b"p cnf %d %d\n" % (formula.num_vars, len(clauses))
-    return header + clauses.fmt % tuple(clauses.lits)
+    return b"".join((b"p cnf %d %d\n" % (formula.num_vars, len(clauses)), *clauses.body))
 
 
 _AND, _OR, _XOR, _A, _B, _CONST = range(6)
@@ -151,7 +155,7 @@ class CnfBuilder:
 
     def __init__(self):
         self.num_vars = 1
-        self.clauses = Clauses([TRUE_LIT], bytearray(_line_format(1)), 1)
+        self.clauses = Clauses([b"%d 0\n" % TRUE_LIT], 1)
 
     def new_var(self) -> Lit:
         self.num_vars += 1
@@ -179,10 +183,8 @@ class CnfBuilder:
         self.clauses.extend(seen, _line_format(len(seen)), 1)
 
     def build(self) -> CnfFormula:
-        clauses = self.clauses
-        return CnfFormula(
-            self.num_vars, Clauses(tuple(clauses.lits), bytes(clauses.fmt), clauses.count)
-        )
+        self.clauses.flush()
+        return CnfFormula(self.num_vars, Clauses(tuple(self.clauses.body), len(self.clauses)))
 
     # -- folded connectives -------------------------------------------------
     # Once the folds have run, a and b are distinct non-constant literals
@@ -259,6 +261,7 @@ class CnfBuilder:
         lits: list = list(in_lits) + [None] * netlist.num_gates
         for node, op, a, b in netlist.program:
             lits[node] = self.encode_gate(op, lits[a], lits[b])
+        self.clauses.flush()
         return lits[len(lits) - netlist.num_outputs:]
 
     # -- sorting network -----------------------------------------------------
@@ -310,8 +313,8 @@ class CnfBuilder:
                 add(lo)
         # Each comparator that did not fold made 2 variables and 6 clauses.
         made = (n - self.num_vars) // 2
-        self.clauses.fmt += _COMPARATOR_FORMAT * made
-        self.clauses.count += 6 * made
+        self.clauses.extend((), _COMPARATOR_FORMAT * made, 6 * made)
+        self.clauses.flush()
         self.num_vars = n
         return list(map(wires.__getitem__, outs))
 

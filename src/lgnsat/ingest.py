@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DataError
 from .evaluator import class_scores, winner_of
-from .netlist import Netlist, read_int
+from .netlist import Netlist, read_float, read_int
 from .schema import FeatureSchema, NumericFeature
 
 
@@ -58,8 +58,8 @@ def encode_row(schema: FeatureSchema, raw_values) -> tuple[int, ...]:
     buckets = []
     for f, raw in zip(schema.features, raw_values):
         if isinstance(f, NumericFeature):
-            try:
-                value = float(raw)
+            try:  # a Python number is the value itself; text takes no "_"
+                value = read_float(raw) if type(raw) is str else float(raw)
             except (TypeError, ValueError):
                 raise DataError(f"feature {f.name!r}: non-numeric value {raw!r}")
             buckets.append(f.bucket_of(value))

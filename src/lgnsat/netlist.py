@@ -198,6 +198,13 @@ def read_int(text: str) -> int:
     return int(text)
 
 
+def read_float(text: str) -> float:
+    """``float(text)`` without the ``_`` digit separators float() takes."""
+    if "_" in text:
+        raise ValueError(f"invalid number {text!r}")
+    return float(text)
+
+
 def _ref_text(ref: int) -> str:
     return f"g{ref}" if ref >= 0 else f"i{~ref}"
 

@@ -14,7 +14,7 @@ from functools import cached_property
 from math import inf
 
 from .errors import DataError, SchemaFormatError
-from .netlist import read_int
+from .netlist import read_float, read_int
 
 
 @dataclass(frozen=True)
@@ -231,13 +231,13 @@ def parse_schema(data: bytes | str) -> FeatureSchema:
             if kind == "num":
                 thresholds = None
                 if "thresholds" in kv:
-                    thresholds = tuple(float(t) for t in kv["thresholds"].split(","))
+                    thresholds = tuple(map(read_float, kv["thresholds"].split(",")))
                 features.append(
                     NumericFeature(
                         name,
                         bits=read_int(kv["bits"]),
-                        lo=float(kv["lo"]),
-                        hi=float(kv["hi"]),
+                        lo=read_float(kv["lo"]),
+                        hi=read_float(kv["hi"]),
                         thresholds=thresholds,
                     )
                 )

@@ -271,15 +271,16 @@ class TestEntryPoint:
 
 class TestIntegerOptions:
     """Integer options take the digits every integer field of the input
-    files takes: no ``_`` and no ``+``."""
+    files takes: no ``_`` and no ``+``. Fraction options take no ``_``."""
 
     @pytest.mark.parametrize("option, value", [
         ("--eps", "1_0"), ("--seed", "1_0"), ("--input-width", "+4"),
         ("--classes", "1_0"), ("--block-size", "1_0"), ("--layers", "4,1_0"),
+        ("--kappa", "1_0/2_0"),
     ])
     def test_rejected_exit_3(self, capsys, files, tmp_path, option, value):
         out = tmp_path / "out"
-        if option == "--eps":
+        if option in ("--eps", "--kappa"):
             argv = ["encode", files["flip"], "-s", files["schema"], "--mode", "robust",
                     "--kappa", "1/2", "-o", out, option, value]
         else:

@@ -301,12 +301,12 @@ class TestComparator:
         else:
             getattr(b, connective)(*pair)
         appended = tuple(b.clauses)[1:]
-        direct = (list(b.clauses.lits), bytes(b.clauses.fmt))
+        direct = b"".join(b.clauses.body)
         b.clauses = CnfBuilder().clauses
         for clause in appended:
             b.add_clause(clause)
-        assert tuple(b.clauses)[1:] == appended
-        assert (b.clauses.lits, b.clauses.fmt) == direct
+        b.clauses.flush()
+        assert b"".join(b.clauses.body) == direct
 
     def test_folding_unchanged(self):
         b = CnfBuilder()
@@ -367,9 +367,11 @@ BENCHMARK_SORTS = ((500, 1), (1000, 500), (100, 1), (1000, 100))
 
 
 def _same_state(new: CnfBuilder, ref: CnfBuilder) -> None:
-    assert new.clauses.lits == ref.clauses.lits
-    assert new.clauses.fmt == ref.clauses.fmt
-    assert len(new.clauses) == len(ref.clauses)
+    new.clauses.flush()
+    ref.clauses.flush()
+    body = b"".join(new.clauses.body)
+    assert body == b"".join(ref.clauses.body)
+    assert body.count(b"\n") == len(new.clauses) == len(ref.clauses)
     assert new.num_vars == ref.num_vars
 
 
@@ -542,18 +544,21 @@ class TestDimacs:
 
 
 class TestClauseBookkeeping:
-    """The builder counts clauses next to the flat stream instead of
-    counting line ends. Each test drives one builder through writers; after
-    each step the format holds a line per clause and a %d per literal, and
-    the DIMACS, header count included, is that of one join per clause,
-    whether written from the stream or from the clauses given as tuples."""
+    """The builder counts clauses instead of counting line ends. Each test
+    drives one builder through writers; after each step the body and the
+    pending format hold a line per clause, the pending format a %d per
+    pending literal, and once flushed the body alone holds every line. The
+    DIMACS, header count included, is that of one join per clause, whether
+    written from the body or from the clauses given as tuples."""
 
     @staticmethod
     def check(b):
         clauses = b.clauses
-        assert clauses.fmt.count(b"\n") == len(clauses)
         assert clauses.fmt.count(b"%d") == len(clauses.lits)
+        assert b"".join(clauses.body).count(b"\n") + clauses.fmt.count(b"\n") == len(clauses)
         listed = list(clauses)
+        assert not clauses.lits and not clauses.fmt
+        assert b"".join(clauses.body).count(b"\n") == len(clauses)
         expected = render_dimacs(b.num_vars, listed)
         assert to_dimacs(b.build()) == expected
         assert to_dimacs(CnfFormula(b.num_vars, listed)) == expected

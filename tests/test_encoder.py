@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -341,12 +342,36 @@ class TestPinnedQueryBytes:
         assert hashlib.sha256(varmap.sidecar().encode()).hexdigest() == sidecar_sha
 
 
+def _adult_fair_query():
+    net = random_netlist(100, [2000, 2000, 2000, 1000], 2, 500, seed=2)
+    return net, adult_schema(), PropertyQuery("fair", 1, Fraction(3, 4))
+
+
 def test_adult_query_clause_count_matches_stream():
     # The builder counts sort_block's clauses from the variables it made
     # (6 clauses per 2); the count must still match the lines of the
-    # stream's format and the DIMACS header on a full Adult-shaped query.
-    net = random_netlist(100, [2000, 2000, 2000, 1000], 2, 500, seed=2)
-    formula, _ = build_query(net, adult_schema(), PropertyQuery("fair", 1, Fraction(3, 4)))
+    # formula's body chunks and the DIMACS header on a full Adult-shaped query.
+    formula, _ = build_query(*_adult_fair_query())
     header = to_dimacs(formula).split(b"\n", 1)[0].split()
-    assert len(formula.clauses) == formula.clauses.fmt.count(b"\n") == int(header[3])
+    assert len(formula.clauses) == b"".join(formula.clauses.body).count(b"\n") == int(header[3])
     assert len(formula.clauses) > 100_000
+
+
+def test_adult_query_memory():
+    # Clauses are formatted into DIMACS lines as each network and sort is
+    # written, so no query holds all its literals as Python ints: the
+    # build and DIMACS write peak under 10 MB, and the finished formula,
+    # measured as what dropping it frees, holds under 4 MB.
+    query = _adult_fair_query()
+    tracemalloc.start()
+    try:
+        formula = build_query(*query)[0]
+        dimacs = to_dimacs(formula)
+        with_formula, peak = tracemalloc.get_traced_memory()
+        del formula
+        held = with_formula - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(dimacs) > 2_000_000
+    assert peak < 10_000_000
+    assert held < 4_000_000

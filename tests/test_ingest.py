@@ -266,6 +266,10 @@ class TestLoadCsvLayout:
         with pytest.raises(DataError, match=rf"^row 2: non-integer label '{re.escape(label)}'$"):
             load_csv(small_schema(), f"v,s,label\n0,0,{label}\n")
 
+    def test_numeric_cell_takes_no_digit_separator(self):
+        with pytest.raises(DataError, match=r"^row 2: feature 'v': non-numeric value '1_0'$"):
+            load_csv(small_schema(), "v,s,label\n1_0,0,0\n")
+
     def test_empty_label(self):
         with pytest.raises(DataError, match=r"^row 2: non-integer label ''$"):
             load_csv(small_schema(), "v,s,label\n0,0,\n")

@@ -499,6 +499,8 @@ class TestSchemaErrors:
         ("cat g arity=2\n\nint a bits=2", 3, "expected 'num <name> ...'"),
         ("cat g arity=2\nnum a bits=1_0 lo=0 hi=1", 2, "bad feature record"),
         ("cat g arity=+2", 1, "bad feature record"),
+        ("cat g arity=2\nnum a bits=2 lo=0 hi=3_0", 2, "bad feature record: invalid number '3_0'"),
+        ("num a bits=2 lo=0 hi=3 thresholds=1,2_0", 1, "invalid number '2_0'"),
         ("num a bits=2 lo=0 hi=3 thresholds=2,1", 1, "'a': thresholds are not ascending"),
         ("cat g arity=1", 1, "'g': arity must be >= 2"),
         ("num a bits=2 lo=0 hi=inf", 1, "'a': lo and hi must be finite with lo < hi"),
@@ -519,6 +521,7 @@ class TestSchemaErrors:
         ("cat g arity=2\nnum a bits=2 lo=0 hi=3 threshold=1,2", 2, "unknown num key 'threshold'"),
         ("num a bits=2 lo=0 hi=3 sensitive=1", 1, "unknown num key 'sensitive'"),
     ], ids=["missing-key", "duplicate-key", "unknown-kind", "bits-1_0", "arity-+2",
+            "hi-3_0", "threshold-2_0",
             "unsorted-thresholds", "arity-1", "hi-inf", "lo-nan", "lo-above-hi",
             "threshold-inf", "thresholds-above-hi", "threshold-below-lo", "duplicate-name",
             "no-features", "bits-0", "too-few-thresholds", "key-without-value",
