@@ -3,7 +3,8 @@
 One structured JSON report per invocation on stdout, human-readable
 progress on stderr. Exit codes are a total function of the outcome:
 0 holds/ok, 1 counterexample (or not attainable), 2 invalid input,
-3 usage/environment problems, 4 unknown (timeout).
+3 usage/environment problems (a solver answer that fails its concrete
+recheck among them), 4 unknown (timeout).
 
 ``main`` owns the report: each ``cmd_*`` returns its inputs, its result,
 its exit code and its stderr line, and ``main`` writes the report (or the
@@ -30,6 +31,7 @@ from .driver import DEFAULT_TOLERANCE, check_attainable, search_min_kappa, sweep
 from .encoder import PropertyQuery, build_query
 from .errors import (
     DataError,
+    EncodingConsistencyError,
     InvalidNetlistError,
     NetlistFormatError,
     QueryBuildError,
@@ -39,7 +41,8 @@ from .errors import (
 )
 from .evaluator import COUNTEREXAMPLE, HOLDS, UNKNOWN, predict
 from .ingest import accuracy, encode_row, load_csv
-from .netlist import parse_netlist, random_netlist, read_int, serialize_netlist, validate
+from .netlist import (parse_netlist, random_netlist, read_int, schema_violations,
+                      serialize_netlist, validate)
 from .schema import NumericFeature, parse_schema
 from .solver import SolverConfig
 from .cnf import to_dimacs
@@ -58,7 +61,8 @@ _INVALID_INPUT_ERRORS = (
     InvalidNetlistError,
     DataError,
 )
-_USAGE_ERRORS = (QueryBuildError, SolverNotFoundError, SolverOutputError, OSError, ValueError)
+_USAGE_ERRORS = (QueryBuildError, SolverNotFoundError, SolverOutputError,
+                 EncodingConsistencyError, OSError, ValueError)
 
 
 def log(message: str) -> None:
@@ -93,11 +97,17 @@ def _read_inputs(args, *roles: str) -> tuple[dict, list[bytes]]:
 
 
 def _load(args, *extra: str):
-    """Read and hash the netlist, the schema and any ``extra`` input roles,
-    then parse the netlist and schema. Returns the report's ``inputs``, the
-    netlist, the schema and the bytes of each extra role."""
+    """Read and hash the netlist, the schema and any ``extra`` input roles;
+    parse and check the netlist, then the schema against it. Returns the
+    report's ``inputs``, the netlist, the schema and each extra role's bytes."""
     inputs, (net_data, schema_data, *rest) = _read_inputs(args, "netlist", "schema", *extra)
-    return inputs, parse_netlist(net_data), parse_schema(schema_data), *rest
+    netlist = parse_netlist(net_data)
+    netlist.program  # compiling checks the netlist, before the schema is read
+    schema = parse_schema(schema_data)
+    violations = schema_violations(netlist, schema)
+    if violations:
+        raise InvalidNetlistError(violations)
+    return inputs, netlist, schema, *rest
 
 
 def _solver_config(args) -> SolverConfig:
@@ -155,10 +165,11 @@ Outcome = tuple[dict, dict, int, str]
 def cmd_validate(args) -> Outcome:
     roles = ("netlist", "schema") if args.schema else ("netlist",)
     inputs, (net_data, *schema_data) = _read_inputs(args, *roles)
-    netlist = parse_netlist(net_data, run_validation=False)
-    schema = parse_schema(schema_data[0]) if schema_data else None
-    violations = validate(netlist, schema)
-    result = {"ok": not violations, "violations": list(violations)}
+    netlist = parse_netlist(net_data)
+    violations = list(validate(netlist))
+    if schema_data:
+        violations += schema_violations(netlist, parse_schema(schema_data[0]))
+    result = {"ok": not violations, "violations": violations}
     if not violations:
         return inputs, result, EXIT_HOLDS, "validate: ok"
     return inputs, result, EXIT_INVALID_INPUT, f"validate: {len(violations)} violation(s)"

@@ -158,25 +158,16 @@ def confidence_of(scores: tuple[int, ...], num_classes: int) -> Fraction:
 
 
 def class_scores(netlist: Netlist, rows) -> list[tuple[int, ...]]:
-    """Each row's class-block popcounts, all rows evaluated bit-sliced."""
-    if not rows:
-        return []
+    """Each row's class-block popcounts, all (non-empty) rows evaluated bit-sliced."""
     words, L = _output_words(netlist, rows), netlist.block_size
     blocks = (words[c * L:(c + 1) * L] for c in range(netlist.num_classes))
     return list(zip(*(_popcounts(block, len(rows)) for block in blocks)))
 
 
-def predict_batch(netlist: Netlist, rows) -> list[tuple[int, tuple[int, ...], Fraction]]:
-    """``predict`` for every row of a list, evaluated together bit-sliced."""
-    return [
-        (winner_of(s), s, confidence_of(s, netlist.num_classes))
-        for s in class_scores(netlist, rows)
-    ]
-
-
 def predict(netlist: Netlist, input_bits) -> tuple[int, tuple[int, ...], Fraction]:
     """Predicted class, block scores, and exact confidence for one input."""
-    return predict_batch(netlist, [input_bits])[0]
+    [scores] = class_scores(netlist, [input_bits])
+    return winner_of(scores), scores, confidence_of(scores, netlist.num_classes)
 
 
 def phi_on_values(values, values_p, schema: FeatureSchema, eps: int, mode: str) -> bool:

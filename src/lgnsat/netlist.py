@@ -66,11 +66,13 @@ class Netlist:
 
         Entries are (node, op, node a, node b) in gate-id order, which is
         topological; gates no output depends on are left out. The output
-        bits are the last ``num_outputs`` nodes. Compiling runs
-        ``check_valid`` first, so every consumer of the program (encoder,
-        evaluator, oracle) raises InvalidNetlistError on an invalid netlist.
+        bits are the last ``num_outputs`` nodes. Compiling is where an
+        invalid netlist raises InvalidNetlistError, so every consumer of the
+        program (encoder, evaluator, oracle) rejects one.
         """
-        check_valid(self)
+        violations = validate(self)
+        if violations:
+            raise InvalidNetlistError(violations)
         gates = [g for layer in self.layers for g in layer]
         live = [False] * (len(gates) - self.num_outputs) + [True] * self.num_outputs
         for gid in reversed(range(len(gates))):
@@ -88,13 +90,10 @@ class Netlist:
         )
 
 
-def validate(netlist: Netlist, schema=None) -> tuple[str, ...]:
+def validate(netlist: Netlist) -> tuple[str, ...]:
     """Check every structural invariant; return all violations with their
-    location, an empty tuple for a valid netlist.
-
-    ``schema`` (a FeatureSchema) is optional; when given, its total bit width
-    must equal the netlist's input width.
-    """
+    location, an empty tuple for a valid netlist. A schema is checked
+    against the netlist by ``schema_violations``."""
     v: list[str] = []
     if netlist.input_width < 1:
         v.append(f"input_width must be >= 1, got {netlist.input_width}")
@@ -135,14 +134,12 @@ def validate(netlist: Netlist, schema=None) -> tuple[str, ...]:
                         f"to gate {ref} (layer starts at id {start})"
                     )
         start += len(layer)
-    if schema is not None:
-        v.extend(schema_violations(netlist, schema))
     return tuple(v)
 
 
 def schema_violations(netlist: Netlist, schema) -> list[str]:
-    """The schema half of validate(): the schema's own invariants, and its
-    total bit width against the netlist's input width."""
+    """The schema's own invariants, and its total bit width against the
+    netlist's input width."""
     v = [message for _, message in schema.located_violations()]
     if schema.width != netlist.input_width:
         v.append(
@@ -150,13 +147,6 @@ def schema_violations(netlist: Netlist, schema) -> list[str]:
             f"{netlist.input_width}"
         )
     return v
-
-
-def check_valid(netlist: Netlist) -> None:
-    """Raise InvalidNetlistError unless validate() is clean."""
-    violations = validate(netlist)
-    if violations:
-        raise InvalidNetlistError(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +263,12 @@ def _parse_layer_line(lineno: int, line: str) -> tuple[Gate, ...]:
     return gates
 
 
-def parse_netlist(data: bytes | str, run_validation: bool = True) -> Netlist:
+def parse_netlist(data: bytes | str) -> Netlist:
     """Parse the netlist file format.
 
-    Syntax problems raise NetlistFormatError with position info. With
-    ``run_validation`` (the default) the netlist is compiled before it is
-    returned, so structural violations raise InvalidNetlistError here and
-    the checked program is cached for the encoder and the evaluator.
+    Syntax problems raise NetlistFormatError with position info. Parsing
+    does not check structure: ``validate`` lists the violations, and
+    compiling (``Netlist.program``) raises InvalidNetlistError on them.
     """
     text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     lines = [
@@ -299,10 +288,7 @@ def parse_netlist(data: bytes | str, run_validation: bool = True) -> Netlist:
     layers = [_parse_layer_line(lineno, line) for lineno, line in lines[4:]]
     if not layers:
         raise NetlistFormatError("truncated file: no layer lines", line=lines[-1][0])
-    netlist = Netlist(input_width, tuple(layers), num_classes, block_size)
-    if run_validation:
-        netlist.program  # compiling checks the netlist (and caches the program)
-    return netlist
+    return Netlist(input_width, tuple(layers), num_classes, block_size)
 
 
 def random_netlist(
@@ -314,10 +300,12 @@ def random_netlist(
 ) -> Netlist:
     """Generate a random netlist: ops uniform over all 16 codes, each gate
     input drawn uniformly from the immediately preceding layer (layer 0 from
-    the input bits). Deterministic for a fixed seed.
-    """
+    the input bits). Deterministic for a fixed seed. Arguments that would
+    give an invalid netlist raise ValueError, so the output needs no check."""
     if input_width < 1:
         raise ValueError(f"input_width must be >= 1, got {input_width}")
+    if num_classes < 2 or block_size < 1:
+        raise ValueError(f"need C >= 2 and L >= 1, got C={num_classes}, L={block_size}")
     if not layer_sizes or any(s < 1 for s in layer_sizes):
         raise ValueError(f"layer sizes must be positive, got {layer_sizes}")
     if layer_sizes[-1] != num_classes * block_size:
@@ -337,6 +325,4 @@ def random_netlist(
             tuple((rng.randrange(16), draw(), draw()) for _ in range(size))
         )
         lo, n = (0 if lo is None else lo + n), size
-    net = Netlist(input_width, tuple(layers), num_classes, block_size)
-    check_valid(net)
-    return net
+    return Netlist(input_width, tuple(layers), num_classes, block_size)

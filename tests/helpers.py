@@ -12,13 +12,16 @@ from a complete input assignment). The ``reference_*`` functions restate
 package code in its plainest form (a list-scanning clause normaliser,
 winner clauses by index loops), so tests can require the very same clause
 stream. The named op codes and ``gate_truth`` are for building and reading
-test netlists, ``check_phi`` reads Phi on bit vectors, and
-``sleeping_solver`` stands in for a solver that stops answering.
+test netlists, ``check_phi`` reads Phi on bit vectors,
+``sleeping_solver`` stands in for a solver that stops answering,
+``lying_solver`` for one whose model is wrong, and ``running`` tells
+whether a process these solvers started is still alive.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import re
 import sys
 import time
@@ -36,8 +39,10 @@ from lgnsat.evaluator import (
     Verdict,
     VerdictStats,
     Witness,
+    class_scores,
+    confidence_of,
     phi_on_values,
-    predict_batch,
+    winner_of,
 )
 from lgnsat.netlist import Netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
@@ -397,9 +402,18 @@ def _guard(schema: FeatureSchema) -> int:
     return w
 
 
+def predict_rows(netlist: Netlist, rows) -> list[tuple[int, tuple[int, ...], Fraction]]:
+    """``predict`` for every row, all rows evaluated in one ``class_scores``
+    batch."""
+    return [
+        (winner_of(s), s, confidence_of(s, netlist.num_classes))
+        for s in class_scores(netlist, rows)
+    ]
+
+
 def _prediction_table(netlist: Netlist, schema: FeatureSchema) -> list[InputRecord]:
     inputs = [(v, schema.encode_values(v)) for v in enumerate_inputs(schema)]
-    predictions = predict_batch(netlist, [bits for _, bits in inputs])
+    predictions = predict_rows(netlist, [bits for _, bits in inputs])
     return [
         InputRecord(values, bits, cls, conf)
         for (values, bits), (cls, _, conf) in zip(inputs, predictions)
@@ -477,3 +491,33 @@ def sleeping_solver(tmp_path, answered: int = 0) -> Path:
     )
     exe.chmod(0o755)
     return exe
+
+
+def lying_solver(tmp_path) -> Path:
+    """A solver that answers every query SATISFIABLE with the all-false
+    model. That model breaks the query's TRUE unit clause, and its bits
+    decode under no schema with a categorical feature."""
+    exe = tmp_path / "lying-solver"
+    exe.write_text(
+        "#!/bin/sh\n"
+        "echo 's SATISFIABLE'\n"
+        "awk '/^p cnf/ { printf \"v\"; for (i = 1; i <= $3; i++) printf \" -%d\", i;"
+        " print \" 0\"; exit }' \"$1\"\n"
+        "exit 10\n"
+    )
+    exe.chmod(0o755)
+    return exe
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` names a live process. A zombie has ended: nothing may
+    ever reap an orphan's. Without /proc, a pid that takes a signal is live."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat_line = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return not Path("/proc/self").exists()
+    return stat_line.rsplit(")", 1)[1].split()[0] != "Z"

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import sleeping_solver
+from helpers import running, sleeping_solver
 
 import lgnsat
 from lgnsat import cli
@@ -117,16 +117,6 @@ class TestAttainableTimeout:
         )
 
 
-def _running(pid: int) -> bool:
-    """Whether ``pid`` names a live process. A zombie has ended: nothing may
-    ever reap an orphan's."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_sigterm_stops_solver_and_removes_dimacs(files, tmp_path):
     pid_file = tmp_path / "pid"
@@ -150,12 +140,12 @@ def test_sigterm_stops_solver_and_removes_dimacs(files, tmp_path):
         assert solver_pid, "the solver did not start"
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == -signal.SIGTERM
-        assert not _running(solver_pid)
+        assert not running(solver_pid)
         assert not list(tmp_path.glob("lgnsat-*.cnf"))
     finally:
         proc.kill()
         proc.wait()
-        if solver_pid and _running(solver_pid):
+        if solver_pid and running(solver_pid):
             os.kill(solver_pid, signal.SIGKILL)
 
 

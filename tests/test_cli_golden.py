@@ -5,7 +5,8 @@ with every wall time zeroed, and the stderr text with every ``N.NNNs``
 timing zeroed; the temp directory reads ``TMP`` throughout. The cases
 cover each outcome the CLI maps to an exit code: ok or holds (0),
 counterexample or not attainable (1), invalid input (2), usage and
-environment errors (3) and unknown through a solver that never answers (4).
+environment errors (3), among them a solver whose model fails its recheck,
+and unknown through a solver that never answers (4).
 To re-pin after an intended report change, write ``run_cases``' result to
 the file, one invocation per line.
 """
@@ -14,11 +15,11 @@ import json
 import re
 from pathlib import Path
 
-from helpers import sleeping_solver
+from helpers import lying_solver, sleeping_solver
 
 from lgnsat.cli import main
 from lgnsat.netlist import serialize_netlist
-from lgnsat.schema import serialize_schema
+from lgnsat.schema import FeatureSchema, NumericFeature, serialize_schema
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 _TIMES = ("wall_time_s", "total_time_s")
@@ -32,7 +33,7 @@ def _zero_times(value):
     return value
 
 
-def _cases(d: Path, sleepy: Path) -> list[list[str]]:
+def _cases(d: Path, sleepy: Path, liar: Path) -> list[list[str]]:
     flip, const, sure, schema = d / "flip.lgn", d / "const.lgn", d / "sure.lgn", d / "s.fs"
     mixed_net, mixed = d / "mixed.lgn", d / "mixed.fs"
     fair = ["-s", schema, "--mode", "fair"]
@@ -75,6 +76,11 @@ def _cases(d: Path, sleepy: Path) -> list[list[str]]:
         ["search-kappa", flip, *fair, "--tol", "1/0"],
         ["sweep", flip, *fair, "--kappas", "1/2,1/0"],
         ["verify", flip, *fair, "--kappa", "1/2", "--timeout", "inf"],
+        ["eval", flip, "-s", d / "wide.fs", "--bits", "1111"],
+        ["accuracy", flip, "-s", d / "wide.fs", "--csv", d / "wide.csv"],
+        ["gen-random", "-d", "6", "--layers", "5,2", "-C", "1", "-L", "2", "--seed", "42",
+         "-o", d / "g.lgn"],
+        ["verify", flip, *fair, "--kappa", "1/2", "--solver", liar],
     ]
 
 
@@ -87,16 +93,19 @@ def run_cases(d: Path, capsys, nets, flip_schema, mixed_schema) -> list[dict]:
     (d / "s.fs").write_bytes(serialize_schema(flip_schema))
     (d / "mixed.fs").write_bytes(serialize_schema(mixed_schema))
     (d / "bad.fs").write_text("cat group arity=2 sensitive=1\nnum x bits=2\n")
+    wide = FeatureSchema((NumericFeature("x", 4, 0.0, 4.0),))  # 4 bits for a 2-bit net
+    (d / "wide.fs").write_bytes(serialize_schema(wide))
     header = "lgn 1\ninput_width 2\nnum_classes 2\nblock_size {}\n"
     (d / "outputs.lgn").write_text(header.format(3) + "layer (8, i0, i1) (14, i0, i1)\n")
     (d / "op16.lgn").write_text(header.format(1) + "layer (16, i0, i1) (14, i0, i1)\n")
     (d / "rows.csv").write_text("group,label\n0,0\n0,0\n0,1\n1,1\n1,0\n")
     (d / "badlabel.csv").write_text("group,label\n0,0\n1,one\n")
+    (d / "wide.csv").write_text("x,label\n1,0\n")
     assert main(["gen-random", "-d", "5", "--layers", "12,8,4", "-C", "2", "-L", "2",
                  "--seed", "2", "-o", str(d / "mixed.lgn")]) == 0
     capsys.readouterr()
     tmp, results = str(d), []
-    for argv in _cases(d, sleeping_solver(d)):
+    for argv in _cases(d, sleeping_solver(d), lying_solver(d)):
         argv = [str(a) for a in argv]
         code = main(argv)
         out, err = capsys.readouterr()

@@ -15,6 +15,7 @@ from helpers import (
     gate_ref,
     input_ref,
     interpret,
+    predict_rows,
 )
 
 from lgnsat.errors import DataError
@@ -23,10 +24,10 @@ from lgnsat.evaluator import (
     FAIR,
     HOLDS,
     ROBUST,
+    class_scores,
     confidence_of,
     forward,
     predict,
-    predict_batch,
     winner_of,
 )
 from lgnsat.netlist import Netlist, random_netlist
@@ -127,11 +128,11 @@ def all_ops_net(num_classes: int, block_size: int) -> Netlist:
 
 
 class TestBatchEvaluation:
-    """predict_batch evaluates all rows at once; each row must come out as
+    """class_scores evaluates all rows at once; each row must come out as
     the independent interpreter says, across the 64-bit word boundaries."""
 
     def check(self, net, rows):
-        got = predict_batch(net, rows)
+        got = predict_rows(net, rows)
         assert len(got) == len(rows)
         for bits, (cls, scores, conf) in zip(rows, got):
             assert (cls, scores, conf) == reference_prediction(net, bits)
@@ -159,7 +160,7 @@ class TestBatchEvaluation:
         net = Netlist(2, (((12, input_ref(0), input_ref(0)),
                            (12, input_ref(1), input_ref(1))),), 2, 1)
         rows = [(0, 0), (1, 1), (0, 1), (1, 0)] * 17
-        got = predict_batch(net, rows)
+        got = predict_rows(net, rows)
         expected = {
             (0, 0): (0, (0, 0), Fraction(1, 2)),
             (1, 1): (0, (1, 1), Fraction(1, 2)),
@@ -172,16 +173,16 @@ class TestBatchEvaluation:
         zero = const_block_net([0, 0, 0], 3, 2)
         tie = const_block_net([2, 2, 1], 3, 2)
         rows = [(r & 1, r >> 1 & 1) for r in range(65)]
-        assert set(predict_batch(zero, rows)) == {
+        assert set(predict_rows(zero, rows)) == {
             (0, (0, 0, 0), Fraction(1, 3))
         }
-        assert set(predict_batch(tie, rows)) == {
+        assert set(predict_rows(tie, rows)) == {
             (0, (2, 2, 1), Fraction(2, 5))
         }
 
     def test_width_mismatch_in_any_row(self):
         with pytest.raises(DataError):
-            predict_batch(const_block_net([1, 1], 2, 1), [(0, 0), (0,)])
+            class_scores(const_block_net([1, 1], 2, 1), [(0, 0), (0,)])
 
 
 class TestCheckPhi:

@@ -14,9 +14,9 @@ from lgnsat.errors import InvalidNetlistError, NetlistFormatError, SchemaFormatE
 from lgnsat.evaluator import forward, predict
 from lgnsat.netlist import (
     Netlist,
-    check_valid,
     parse_netlist,
     random_netlist,
+    schema_violations,
     serialize_netlist,
     validate,
 )
@@ -109,7 +109,7 @@ class TestValidate:
 
     def test_schema_width_mismatch(self):
         schema = FeatureSchema((NumericFeature("x", 4, 0.0, 4.0),))
-        assert any("schema width" in v for v in validate(minimal_net(), schema))
+        assert any("schema width" in v for v in schema_violations(minimal_net(), schema))
 
     def test_dimension_bounds(self):
         net = Netlist(0, (), 1, 0)
@@ -350,6 +350,7 @@ class TestGatesUntracked:
     def test_collector_untracks_gates_and_program(self):
         net = random_netlist(12, [40, 30, 20], 2, 10, seed=7)
         parsed = parse_netlist(serialize_netlist(net))
+        parsed.program  # the collector untracks tuples it finds at its next pass
         gc.collect()
         for n in (net, parsed):
             assert not any(gc.is_tracked(g) for layer in n.layers for g in layer)
@@ -398,8 +399,8 @@ class TestRandomNetlist:
 
     def test_generated_nets_validate(self):
         for seed in range(25):
-            net = random_netlist(4, [4, 6], 2, 3, seed=seed)
-            assert validate(net) == ()
+            assert validate(random_netlist(4, [4, 6], 2, 3, seed=seed)) == ()
+            assert validate(random_netlist(4, [5, 3, 6], 3, 2, seed=seed)) == ()
 
     def test_wiring_is_adjacent_layer_only(self):
         net = random_netlist(4, [3, 2, 2], 2, 1, seed=5)
@@ -417,6 +418,8 @@ class TestRandomNetlist:
             random_netlist(4, [3, 5], 2, 3, seed=0)
         with pytest.raises(ValueError):
             random_netlist(0, [2], 2, 1, seed=0)
+        with pytest.raises(ValueError):
+            random_netlist(4, [2], 1, 2, seed=0)
 
 
 class TestNetlistErrors:
@@ -430,10 +433,10 @@ class TestNetlistErrors:
          "line 1: empty netlist file"),
         (lambda: parse_netlist("lgn 1\ninput_width\n"), NetlistFormatError,
          "line 2: expected 'input_width <int>', got 'input_width'"),
-        (lambda: check_valid(Netlist(2, ((), minimal_net().layers[0]), 2, 1)),
+        (lambda: Netlist(2, ((), minimal_net().layers[0]), 2, 1).program,
          InvalidNetlistError, "layer 0: empty layer"),
-        (lambda: check_valid(Netlist(2, (((16, input_ref(0), input_ref(1)),
-                                          (14, input_ref(0), input_ref(1))),), 2, 1)),
+        (lambda: Netlist(2, (((16, input_ref(0), input_ref(1)),
+                              (14, input_ref(0), input_ref(1))),), 2, 1).program,
          InvalidNetlistError, "layer 0 gate 0: op code 16 outside 0..15"),
         (lambda: random_netlist(4, [3, 0, 2], 2, 1, seed=0), ValueError,
          "layer sizes must be positive, got [3, 0, 2]"),

@@ -1,5 +1,4 @@
 import ast
-import os
 import random
 import stat
 import sys
@@ -10,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import adult_schema, check_phi, models_over, ten_class_schema
+from helpers import adult_schema, check_phi, models_over, running, ten_class_schema
 
 from lgnsat import solver as solver_module
 from lgnsat.cnf import CnfBuilder
@@ -30,20 +29,6 @@ from lgnsat.solver import (
     find_solver,
     solve,
 )
-
-
-def running(pid):
-    """Whether ``pid`` is alive; a zombie counts as ended, since an orphan
-    may wait long for its reaper."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    try:
-        stat_line = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return not Path("/proc/self").exists()
-    return stat_line.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def trivial_sat():
@@ -137,6 +122,19 @@ class TestSolverDiscovery:
         config = SolverConfig(timeout=60.0)
         assert solve(pigeonhole(3, 3), config).status == SAT
         assert solve(pigeonhole(4, 3), config).status == UNSAT
+
+    def test_kissat_first_then_fallbacks(self, monkeypatch, tmp_path):
+        # Fake kissat and cadical on PATH: kissat wins, and without it the
+        # first fallback present is picked.
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.delenv("LGNSAT_SOLVER", raising=False)
+        for name in ("kissat", "cadical"):
+            exe = tmp_path / name
+            exe.write_text("#!/bin/sh\nexit 20\n")
+            exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
+        assert find_solver() == str(tmp_path / "kissat")
+        (tmp_path / "kissat").unlink()
+        assert find_solver() == str(tmp_path / "cadical")
 
     def test_env_override_must_exist(self, monkeypatch):
         monkeypatch.setenv("LGNSAT_SOLVER", "no-such-solver-here")
