@@ -306,7 +306,7 @@ def cmd_eval(args) -> Outcome:
 
 def cmd_accuracy(args) -> Outcome:
     inputs, netlist, schema, csv_data = _load(args, "csv")
-    dataset = load_csv(schema, csv_data.decode("utf-8-sig"), label_col=args.label_col)
+    dataset = load_csv(schema, csv_data, label_col=args.label_col)
     acc = accuracy(netlist, dataset)
     result = {"rows": len(dataset.rows), "accuracy": _frac(acc)}
     return inputs, result, EXIT_HOLDS, f"accuracy: {float(acc):.4f} over {len(dataset.rows)} rows"

@@ -5,7 +5,7 @@ class LgnsatError(Exception):
     """Base class for all lgnsat errors."""
 
 
-class _LocatedFormatError(LgnsatError):
+class LocatedFormatError(LgnsatError):
     """An input file is malformed. Carries the 1-based line (and column,
     when known) of the problem, and the message starts with them:
     ``line N, col M: ...``."""
@@ -19,12 +19,12 @@ class _LocatedFormatError(LgnsatError):
         self.col = col
 
 
-class NetlistFormatError(_LocatedFormatError):
+class NetlistFormatError(LocatedFormatError):
     """Netlist file is syntactically malformed; the column counts from the
     start of the line as written in the file."""
 
 
-class SchemaFormatError(_LocatedFormatError):
+class SchemaFormatError(LocatedFormatError):
     """Feature schema file is malformed."""
 
 
@@ -53,6 +53,6 @@ class EncodingConsistencyError(LgnsatError):
     user error."""
 
 
-class DataError(LgnsatError):
+class DataError(LocatedFormatError):
     """CSV/feature-value problem: out of range, unknown category, ill-formed
-    bit pattern, or width mismatch."""
+    bit pattern, or width mismatch; only an undecodable CSV sets ``line``."""

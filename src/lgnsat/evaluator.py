@@ -3,8 +3,9 @@ similarity predicate.
 
 Evaluation is bit-sliced: the netlist's compiled program runs once over a
 whole batch of rows, on Python ints whose bit r belongs to row r. Class
-scores come from bit-plane counters over each block's output words, so a
-batch costs one pass over the live gates plus work linear in the row count.
+scores come from bit-plane counters over each block's output words, read
+back by bytes operations, so a batch costs one pass over the live gates
+plus work linear in the row count, with no Python loop over set bits.
 ``predict`` and ``forward`` are one-row batches; ``accuracy`` evaluates
 all its rows in one batch.
 
@@ -96,6 +97,8 @@ _OPS = (
 
 # Byte b of an input column -> its binary digit: "0" for 0, "1" otherwise.
 _BIT_DIGITS = b"0" + b"1" * 255
+# A binary digit -> the byte of its value: b"0" -> 0, b"1" -> 1.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _output_words(netlist: Netlist, rows) -> list[int]:
@@ -119,7 +122,10 @@ def _output_words(netlist: Netlist, rows) -> list[int]:
 
 def _popcounts(words, num_rows: int) -> list[int]:
     """Per-row count of set bits over ``words``: a ripple-carry add into bit
-    planes, each plane then read back through one binary formatting."""
+    planes, then their weighted sum as one int of ``lane``-byte
+    little-endian lanes, row r's from byte ``r * lane``, wide enough that no
+    count carries into the next. A plane's binary digits run from the last
+    row to the first, so read big-endian, one byte each, they land in order."""
     planes: list[int] = []
     for carry in words:
         i = 0
@@ -129,13 +135,16 @@ def _popcounts(words, num_rows: int) -> list[int]:
                 break
             planes[i], carry = planes[i] ^ carry, planes[i] & carry
             i += 1
-    counts = [0] * num_rows
+    lane = (len(planes) + 7) // 8 or 1
+    spread = bytearray(num_rows * lane)
+    total = 0
     for i, plane in enumerate(planes):
-        digits = format(plane, "b")[::-1]  # digits[r] is bit r
-        r = digits.find("1")
-        while r >= 0:
-            counts[r] += 1 << i
-            r = digits.find("1", r + 1)
+        spread[lane - 1::lane] = format(plane, f"0{num_rows}b").encode().translate(_DIGIT_BYTES)
+        total += int.from_bytes(spread, "big") << i
+    data = total.to_bytes(num_rows * lane, "little")
+    counts = list(data[lane - 1::lane])  # the high byte of each lane first
+    for k in range(lane - 2, -1, -1):
+        counts = [c << 8 | d for c, d in zip(counts, data[k::lane])]
     return counts
 
 

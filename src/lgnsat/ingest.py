@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DataError
 from .evaluator import class_scores, winner_of
-from .netlist import Netlist, read_float, read_int
+from .netlist import Netlist, read_float, read_int, read_text
 from .schema import FeatureSchema, NumericFeature
 
 
@@ -72,14 +72,26 @@ def encode_row(schema: FeatureSchema, raw_values) -> tuple[int, ...]:
     return schema.encode_values(buckets)
 
 
-def load_csv(schema: FeatureSchema, text: str, label_col: str = "label") -> Dataset:
-    """Parse CSV text with a header row whose columns include every schema
+def _records(reader):
+    """(line, record) per CSV record, by the line it starts on; a record the
+    reader rejects, such as an oversized cell, is a DataError on that row."""
+    line = 1
+    try:
+        for record in reader:
+            yield line, record
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise DataError(f"row {line}: {exc}") from None
+
+
+def load_csv(schema: FeatureSchema, data: bytes | str, label_col: str = "label") -> Dataset:
+    """Parse a CSV file with a header row whose columns include every schema
     feature name plus the label column. Callers read the file themselves,
     so the bytes they hash are the bytes parsed. Blank lines are skipped,
     cells past the header ignored, and a repeated header name reads its
     last column. Rows are numbered by the file line they start on."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    records = _records(csv.reader(io.StringIO(read_text(data, DataError))))
+    _, header = next(records, (None, None))
     if header is None:
         raise DataError("CSV has no header row")
     column = {name: i for i, name in enumerate(header)}
@@ -91,9 +103,7 @@ def load_csv(schema: FeatureSchema, text: str, label_col: str = "label") -> Data
     cells = [(f.name, column[f.name]) for f in schema.features]
     label_at = column[label_col]
     rows, lines = [], []
-    next_line = reader.line_num + 1
-    for record in reader:
-        lineno, next_line = next_line, reader.line_num + 1
+    for lineno, record in records:
         if not record:  # a blank line
             continue
         values = []

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import neg, xor
 
-from .errors import InvalidNetlistError, NetlistFormatError
+from .errors import InvalidNetlistError, LocatedFormatError, NetlistFormatError
 
 Gate = tuple[int, int, int]
 """One 2-input gate ``(op, a, b)``: an exact int triple, which the cyclic
@@ -195,6 +195,16 @@ def read_float(text: str) -> float:
     return float(text)
 
 
+def read_text(data: bytes | str, error: type[LocatedFormatError]) -> str:
+    """An input file's text: UTF-8 after an optional byte order mark. A byte
+    that does not decode is an ``error`` on its line."""
+    try:
+        return data if isinstance(data, str) else data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object: the bytes after the mark
+        raise error(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})",
+                    line=exc.object.count(b"\n", 0, exc.start) + 1) from None
+
+
 def _ref_text(ref: int) -> str:
     return f"g{ref}" if ref >= 0 else f"i{~ref}"
 
@@ -270,7 +280,7 @@ def parse_netlist(data: bytes | str) -> Netlist:
     does not check structure: ``validate`` lists the violations, and
     compiling (``Netlist.program``) raises InvalidNetlistError on them.
     """
-    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
+    text = read_text(data, NetlistFormatError)
     lines = [
         (i + 1, ln)
         for i, ln in enumerate(text.splitlines())

@@ -14,7 +14,7 @@ from functools import cached_property
 from math import inf
 
 from .errors import DataError, SchemaFormatError
-from .netlist import read_float, read_int
+from .netlist import read_float, read_int, read_text
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def _parse_kv(parts: list[str], lineno: int, kind: str) -> dict[str, str]:
 
 
 def parse_schema(data: bytes | str) -> FeatureSchema:
-    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
+    text = read_text(data, SchemaFormatError)
     features: list[Feature] = []
     linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

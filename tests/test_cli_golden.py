@@ -81,6 +81,9 @@ def _cases(d: Path, sleepy: Path, liar: Path) -> list[list[str]]:
         ["gen-random", "-d", "6", "--layers", "5,2", "-C", "1", "-L", "2", "--seed", "42",
          "-o", d / "g.lgn"],
         ["verify", flip, *fair, "--kappa", "1/2", "--solver", liar],
+        ["validate", d / "latin1.lgn"],
+        ["verify", flip, "-s", d / "latin1.fs", "--mode", "fair", "--kappa", "1/2"],
+        ["accuracy", flip, "-s", schema, "--csv", d / "latin1.csv"],
     ]
 
 
@@ -101,6 +104,10 @@ def run_cases(d: Path, capsys, nets, flip_schema, mixed_schema) -> list[dict]:
     (d / "rows.csv").write_text("group,label\n0,0\n0,0\n0,1\n1,1\n1,0\n")
     (d / "badlabel.csv").write_text("group,label\n0,0\n1,one\n")
     (d / "wide.csv").write_text("x,label\n1,0\n")
+    # Bytes that are not UTF-8: 0xff, and a Latin-1 e-acute.
+    (d / "latin1.lgn").write_bytes(header.format(1).encode() + b"layer (8, i0, \xff1)\n")
+    (d / "latin1.fs").write_bytes(b"# features\ncat caf\xe9 arity=2 sensitive=1\n")
+    (d / "latin1.csv").write_bytes(b"group,label\n0,0\n1,\xff\n")
     assert main(["gen-random", "-d", "5", "--layers", "12,8,4", "-C", "2", "-L", "2",
                  "--seed", "2", "-o", str(d / "mixed.lgn")]) == 0
     capsys.readouterr()

@@ -138,7 +138,8 @@ class TestBatchEvaluation:
             assert (cls, scores, conf) == reference_prediction(net, bits)
             assert forward(net, bits) == interpret(net, bits)
 
-    @pytest.mark.parametrize("num_classes,block_size", [(2, 8), (3, 6)])
+    # At a block size of 600 the scores run 224..415, across 255/256.
+    @pytest.mark.parametrize("num_classes,block_size", [(2, 8), (3, 6), (2, 600)])
     @pytest.mark.parametrize("num_rows", [1, 63, 64, 65, 200])
     def test_all_op_codes(self, num_classes, block_size, num_rows):
         net = all_ops_net(num_classes, block_size)
@@ -170,15 +171,16 @@ class TestBatchEvaluation:
         assert got == [expected[r] for r in rows]
 
     def test_constant_blocks_in_batch(self):
-        zero = const_block_net([0, 0, 0], 3, 2)
-        tie = const_block_net([2, 2, 1], 3, 2)
         rows = [(r & 1, r >> 1 & 1) for r in range(65)]
-        assert set(predict_rows(zero, rows)) == {
-            (0, (0, 0, 0), Fraction(1, 3))
-        }
-        assert set(predict_rows(tie, rows)) == {
-            (0, (2, 2, 1), Fraction(2, 5))
-        }
+        for scores, block_size, conf in [
+            ((0, 0, 0), 2, Fraction(1, 3)),
+            ((2, 2, 1), 2, Fraction(2, 5)),
+            # Counts that need a second byte, and then a third.
+            ((300, 256, 255), 300, Fraction(300, 811)),
+            ((65536, 65535), 65536, Fraction(65536, 131071)),
+        ]:
+            net = const_block_net(scores, len(scores), block_size)
+            assert set(predict_rows(net, rows)) == {(0, scores, conf)}
 
     def test_width_mismatch_in_any_row(self):
         with pytest.raises(DataError):

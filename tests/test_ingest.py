@@ -202,6 +202,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3"):
             load_csv(small_schema(), text)
 
+    def test_cell_past_the_field_size_limit_carries_row(self):
+        text = "v,s,label\n0,0,0\n0,1," + "1" * 200_000 + "\n"
+        with pytest.raises(DataError, match=r"^row 3: field larger than field limit"):
+            load_csv(small_schema(), text)
+
     def test_dataset_built_directly_carries_row(self):
         rows = ((("0", "0"), 0), (("9", "0"), 1))
         with pytest.raises(DataError, match="row 3: .*outside"):
