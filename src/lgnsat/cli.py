@@ -41,8 +41,8 @@ from .errors import (
 )
 from .evaluator import COUNTEREXAMPLE, HOLDS, UNKNOWN, predict
 from .ingest import accuracy, encode_row, load_csv
-from .netlist import (parse_netlist, random_netlist, read_int, schema_violations,
-                      serialize_netlist, validate)
+from .netlist import (parse_netlist, random_netlist, read_float, read_int,
+                      schema_violations, serialize_netlist, validate)
 from .schema import NumericFeature, parse_schema
 from .solver import SolverConfig
 from .cnf import to_dimacs
@@ -318,7 +318,7 @@ def cmd_accuracy(args) -> Outcome:
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver", default=None, help="SAT solver executable")
     p.add_argument(
-        "--timeout", type=float, default=SolverConfig.timeout, help="solver timeout (s)"
+        "--timeout", type=read_float, default=SolverConfig.timeout, help="solver timeout (s)"
     )
 
 

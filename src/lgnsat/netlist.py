@@ -159,8 +159,8 @@ def schema_violations(netlist: Netlist, schema) -> list[str]:
 #   layer (8, i0, i1) (6, i2, i3)
 #   layer (14, g0, g1) (9, g1, g0)
 #
-# Blank lines and '#' comments are permitted when parsing; the canonical
-# serialized form contains neither.
+# Lines end at '\n' only; a '\r' before one is trailing whitespace. Blank and
+# '#' comment lines are permitted when parsing; the canonical form has neither.
 # ---------------------------------------------------------------------------
 
 # A whole layer line, its gates in group 1. A match that stops short of the
@@ -203,6 +203,13 @@ def read_text(data: bytes | str, error: type[LocatedFormatError]) -> str:
     except UnicodeDecodeError as exc:  # exc.object: the bytes after the mark
         raise error(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})",
                     line=exc.object.count(b"\n", 0, exc.start) + 1) from None
+
+
+def read_lines(data: bytes | str, error: type[LocatedFormatError]) -> list[tuple[int, str]]:
+    r"""``(line number, line)`` per record line of ``read_text(data, error)``:
+    lines end at ``\n`` only and count from 1; blank and ``#`` lines are dropped."""
+    return [(i, line) for i, line in enumerate(read_text(data, error).split("\n"), 1)
+            if line.strip() and not line.lstrip().startswith("#")]
 
 
 def _ref_text(ref: int) -> str:
@@ -280,12 +287,7 @@ def parse_netlist(data: bytes | str) -> Netlist:
     does not check structure: ``validate`` lists the violations, and
     compiling (``Netlist.program``) raises InvalidNetlistError on them.
     """
-    text = read_text(data, NetlistFormatError)
-    lines = [
-        (i + 1, ln)
-        for i, ln in enumerate(text.splitlines())
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    lines = read_lines(data, NetlistFormatError)
     if not lines:
         raise NetlistFormatError("empty netlist file", line=1)
     if lines[0][1].strip() != _MAGIC:

@@ -14,7 +14,7 @@ from functools import cached_property
 from math import inf
 
 from .errors import DataError, SchemaFormatError
-from .netlist import read_float, read_int, read_text
+from .netlist import read_float, read_int, read_lines
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,8 @@ class FeatureSchema:
 
 
 # ---------------------------------------------------------------------------
-# File format: one feature per line, in order.
+# File format: one feature per line, in order. Lines end at '\n' only, and
+# blank lines and '#' comment lines are skipped.
 #
 #   num age bits=4 lo=18 hi=90
 #   num hours bits=3 lo=0 hi=80 thresholds=10,25,40
@@ -212,13 +213,10 @@ def _parse_kv(parts: list[str], lineno: int, kind: str) -> dict[str, str]:
 
 
 def parse_schema(data: bytes | str) -> FeatureSchema:
-    text = read_text(data, SchemaFormatError)
     features: list[Feature] = []
     linenos: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in read_lines(data, SchemaFormatError):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         parts = line.split()
         kind, name = parts[0], parts[1] if len(parts) > 1 else None
         if kind not in ("num", "cat") or name is None:

@@ -8,12 +8,11 @@ merge recursively instead of running a traced program, the brute-force
 verifier enumerates every well-formed input pair instead of calling a
 solver, and the unit propagator checks encodings without the external
 solver (full-equivalence Tseitin makes every auxiliary variable derivable
-from a complete input assignment). The ``reference_*`` functions restate
-package code in its plainest form (a list-scanning clause normaliser,
-winner clauses by index loops), so tests can require the very same clause
-stream. The named op codes and ``gate_truth`` are for building and reading
-test netlists, ``check_phi`` reads Phi on bit vectors,
-``sleeping_solver`` stands in for a solver that stops answering,
+from a complete input assignment). ``reference_add_clause`` restates the
+package's clause normaliser in its plainest form, a list scan, so tests can
+require the very same clause stream. The named op codes and ``gate_truth``
+are for building and reading test netlists, ``check_phi`` reads Phi on bit
+vectors, ``sleeping_solver`` stands in for a solver that stops answering,
 ``lying_solver`` for one whose model is wrong, and ``running`` tells
 whether a process these solvers started is still alive.
 """

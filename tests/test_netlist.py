@@ -189,11 +189,15 @@ class TestFileFormat:
         assert parse_netlist(codecs.BOM_UTF8 + data) == minimal_net()
 
     def test_comments_and_blanks_ignored(self):
+        # Lines end at "\n" only: a U+2028 inside a comment does not start a
+        # layer line, and a CRLF file reads as its LF form.
         data = serialize_netlist(minimal_net()).decode()
-        noisy = "# header comment\n\n" + data.replace(
-            "layer", "# gates below\nlayer", 1
-        )
-        assert parse_netlist(noisy) == minimal_net()
+        for noisy in (
+            "# header comment\n\n" + data.replace("layer", "# gates below\nlayer", 1),
+            data + "# was:\u2028layer (6, g0, g1) (9, g0, g1)\n",
+            data.replace("\n", "\r\n"),
+        ):
+            assert parse_netlist(noisy.encode()) == minimal_net()
 
 
 HEADER = "lgn 1\ninput_width 2\nnum_classes 2\nblock_size 1\n"
@@ -433,6 +437,11 @@ class TestNetlistErrors:
          "line 1: empty netlist file"),
         (lambda: parse_netlist("lgn 1\ninput_width\n"), NetlistFormatError,
          "line 2: expected 'input_width <int>', got 'input_width'"),
+        (lambda: parse_netlist(b"lgn 1\ninput_width 2\x0c\nnum_classes 2\nblock_size 1\n"
+                               b"layer (8, i0 i1)\n"),
+         NetlistFormatError, "line 5, col 7: malformed gate"),
+        (lambda: parse_netlist(serialize_netlist(minimal_net()).replace(b"\n", b"\r")),
+         NetlistFormatError, "line 1: bad magic line"),
         (lambda: Netlist(2, ((), minimal_net().layers[0]), 2, 1).program,
          InvalidNetlistError, "layer 0: empty layer"),
         (lambda: Netlist(2, (((16, input_ref(0), input_ref(1)),
@@ -440,8 +449,8 @@ class TestNetlistErrors:
          InvalidNetlistError, "layer 0 gate 0: op code 16 outside 0..15"),
         (lambda: random_netlist(4, [3, 0, 2], 2, 1, seed=0), ValueError,
          "layer sizes must be positive, got [3, 0, 2]"),
-    ], ids=["bare-layer", "empty-file", "header-without-value", "empty-layer", "op-16",
-            "layer-size-0"])
+    ], ids=["bare-layer", "empty-file", "header-without-value", "form-feed", "bare-cr",
+            "empty-layer", "op-16", "layer-size-0"])
     def test_rejected(self, make, error, message):
         with pytest.raises(error, match=re.escape(message)):
             make()
@@ -460,6 +469,12 @@ class TestSchemaRoundTrip:
         data = serialize_schema(schema)
         assert parse_schema(data) == schema
         assert serialize_schema(parse_schema(data)) == data
+        # Lines end at "\n" only: control characters that str.splitlines
+        # breaks at stay inside their comment, and CRLF reads as LF.
+        for noisy in (data.replace(b"\n", b"\r\n"), b"# a\x1cb\n" + data):
+            assert parse_schema(noisy) == schema
+        was = "# was:\x85num x bits=2 lo=0 hi=3\ncat g arity=2\n".encode()
+        assert parse_schema(was).features == (CategoricalFeature("g", 2),)
 
     def test_random_bounds_round_trip_exactly(self):
         # Random doubles need up to 17 significant digits; ``:g`` kept six,
