@@ -10,8 +10,8 @@ recheck among them), 4 unknown (timeout).
 its exit code and its stderr line, and ``main`` writes the report (or the
 error report of invalid input), the line and the code.
 
-``search-kappa`` reports the bracket ``[kappa_lower, kappa_star]`` around
-the minimal safe threshold; ``--tol 0`` closes it to the exact value.
+``search-kappa`` reports a bracket ``[kappa_lower, kappa_star]`` of network
+confidences around the minimal safe threshold, at most ``--tol`` wide (0: exact).
 """
 
 from __future__ import annotations

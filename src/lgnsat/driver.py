@@ -4,9 +4,8 @@ safe threshold, attainability checks, and threshold sweeps.
 Every solver-backed call goes through ``_solve``: it builds the query,
 hands it to the solver, and reads a SAT model back as one concrete input
 per network copy, rechecked on the network. Each probe is a fresh solver
-invocation (no incremental reuse), and searches and sweeps keep each
-probe's ``Verdict`` so cumulative solve time can be reported. Both pass
-their verdicts through one consistency rule, ``_check_consistent``.
+invocation; searches and sweeps keep each probe's ``Verdict``, for their
+solve time, and pass them through one consistency rule, ``_check_consistent``.
 """
 
 from __future__ import annotations
@@ -40,15 +39,17 @@ DEFAULT_TOLERANCE = Fraction(1, 20)
 
 @dataclass(frozen=True)
 class KappaSearchResult:
-    """Outcome of the search for the minimal safe threshold kappa*: the
-    bracket ``[kappa_lower, kappa_star]`` holds it, and ``kappa_star`` is a
-    safe threshold. The two are equal when the search pinned kappa* exactly.
-    ``converged`` is False when an Unknown probe cut the search short."""
+    """A search for kappa*: each probe's verdict in order, and a bracket
+    ``[kappa_lower, kappa_star]`` of network confidences that holds kappa*,
+    with ``kappa_star`` safe. It converged unless its last probe was Unknown."""
 
     kappa_star: Fraction
     kappa_lower: Fraction
-    converged: bool
     queries: tuple[Verdict, ...]
+
+    @property
+    def converged(self) -> bool:
+        return self.queries[-1].status != UNKNOWN
 
     @property
     def total_time(self) -> float:
@@ -107,8 +108,7 @@ def verify_at(
     query = PropertyQuery(mode, eps, Fraction(kappa))
     status, records, stats = _solve(netlist, schema, query, config)
     if records is None:
-        status = HOLDS if status == sat.UNSAT else UNKNOWN
-        return Verdict(status, query.kappa, stats=stats)
+        return Verdict(HOLDS if status == sat.UNSAT else UNKNOWN, query.kappa, stats=stats)
     x, xp = records
     if x.cls == xp.cls:
         raise EncodingConsistencyError(f"decoded pair predicts the same class {x.cls}")
@@ -127,37 +127,35 @@ def search_min_kappa(
 ) -> KappaSearchResult:
     """Shrink a bracket ``[lo, hi]`` around kappa*: the largest first-copy
     confidence of a similar pair that changes class, or 1/C if there is
-    none. It starts as ``[1/C, 1]`` without a probe, as no confidence
-    exceeds 1.
+    none. Confidences are a/t with t <= N = C*L, so kappa* and both ends of
+    the bracket lie in the Farey set F_N of such fractions.
 
-    Probes go to ``lo``, then to midpoints. Holds at kappa sets ``hi`` to
-    kappa; a counterexample sets ``lo`` to its witness's confidence, which
-    is above kappa. Unknown stops with ``converged`` False. The search ends
-    when the bracket is at most ``tolerance`` wide (0: exact), or narrower
-    than 1/N^2 with N = C*L: distinct confidences a/t with t <= N differ by
-    more than that, so kappa* is then exactly ``lo``.
+    The bracket starts as ``[1/C, 1]`` and the first probe is at 1/C; each
+    later one is the largest fraction of F_N at or below the midpoint, and
+    never below ``lo``. Holds at kappa sets ``hi`` to kappa and covers the
+    F_N gap above it, as the query reads kappa only through floor(i*kappa)
+    for i <= N. A counterexample sets ``lo`` to its witness's confidence,
+    which is above kappa. The search stops after an Unknown probe, or once
+    ``hi - lo <= tolerance`` (0: exact, kappa* is ``hi``).
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    exact = Fraction(1, (netlist.num_classes * netlist.block_size) ** 2)
+    n = netlist.num_classes * netlist.block_size
     lo = kappa = Fraction(1, netlist.num_classes)
-    hi = Fraction(1)
-    queries: list[Verdict] = []
-    converged = True
-    while hi - lo > tolerance and hi - lo >= exact:
+    hi, queries = Fraction(1), []
+    while True:
         verdict = verify_at(netlist, schema, mode, eps, kappa, config)
         queries.append(verdict)
-        if verdict.status == UNKNOWN:
-            converged = False
-            break
         if verdict.status == HOLDS:
             hi = kappa
-        else:
+        elif verdict.status == COUNTEREXAMPLE:
             lo = verdict.witness.x.conf
-        kappa = (lo + hi) / 2
+        if verdict.status == UNKNOWN or hi - lo <= tolerance:
+            break
+        m = (lo + hi) / 2
+        kappa = max(lo, *(Fraction(m.numerator * t // m.denominator, t) for t in range(1, n + 1)))
     _check_consistent(queries)
-    star = lo if hi - lo < exact else hi
-    return KappaSearchResult(star, lo, converged, tuple(queries))
+    return KappaSearchResult(hi, lo, tuple(queries))
 
 
 def check_attainable(

@@ -189,9 +189,11 @@ def emit_confidence_gt(
     """Threshold constraint: whenever the total popcount reaches i, some
     class block holds more than i*kappa ones.
 
-    The block index floor(i*kappa) is exact integer arithmetic; indices
-    beyond the block width become the FALSE constant, which makes over-tight
-    demands unsatisfiable rather than silently dropped. ``kappa`` lies in
+    The clauses read kappa only through floor(i*kappa) for i <= N = C*L, in
+    exact integer arithmetic, so thresholds in one gap of the Farey set F_N
+    give the same clauses; ``build_query`` reads it otherwise only to test
+    kappa >= 1/C. Indices past the block width become the FALSE constant:
+    over-tight demands are unsatisfiable, not dropped. ``kappa`` lies in
     [0, 1], as ``PropertyQuery`` checks.
     """
     width = len(sorted_blocks[0])

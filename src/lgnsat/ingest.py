@@ -86,15 +86,15 @@ def _records(reader):
 
 def load_csv(schema: FeatureSchema, data: bytes | str, label_col: str = "label") -> Dataset:
     """Parse a CSV file with a header row whose columns include every schema
-    feature name plus the label column. Callers read the file themselves,
-    so the bytes they hash are the bytes parsed. Blank lines are skipped,
-    cells past the header ignored, and a repeated header name reads its
-    last column. Rows are numbered by the file line they start on."""
+    feature name plus the label column; callers read the file, so the bytes
+    they hash are the bytes parsed. Header names and cells are stripped,
+    blank lines skipped, cells past the header ignored, and a repeated
+    header name reads its last column. Rows are numbered by their first line."""
     records = _records(csv.reader(io.StringIO(read_text(data, DataError))))
     _, header = next(records, (None, None))
     if header is None:
         raise DataError("CSV has no header row")
-    column = {name: i for i, name in enumerate(header)}
+    column = {name.strip(): i for i, name in enumerate(header)}
     missing = [f.name for f in schema.features if f.name not in column]
     if missing:
         raise DataError(f"CSV is missing feature columns: {missing}")

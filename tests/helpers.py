@@ -43,7 +43,7 @@ from lgnsat.evaluator import (
     phi_on_values,
     winner_of,
 )
-from lgnsat.netlist import Netlist
+from lgnsat.netlist import Netlist, random_netlist
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 from lgnsat.solver import BUILTIN_SOLVER
 
@@ -55,6 +55,27 @@ def adult_schema() -> FeatureSchema:
         + tuple(CategoricalFeature(f"cat{i}", 8) for i in range(4))
         + (CategoricalFeature("sex", 2, True), CategoricalFeature("race", 6, True))
     )
+
+
+def small_schema() -> FeatureSchema:
+    """A 4-bit schema: one 2-bit numeric feature and a sensitive binary one."""
+    return FeatureSchema(
+        (
+            NumericFeature("v", 2, 0.0, 2.0),
+            CategoricalFeature("s", 2, sensitive=True),
+        )
+    )
+
+
+ORACLE_NETS = [(2, 5), (3, 3), (5, 2)]  # (C, L); C=5 as in the paper's new dataset
+
+
+def oracle_net(classes: int, block_size: int) -> tuple[Netlist, FeatureSchema]:
+    """A seeded net with C classes of L bits over ``small_schema``, small
+    enough for the brute-force oracle."""
+    schema = small_schema()
+    net = random_netlist(schema.width, [6, classes * block_size], classes, block_size, 2)
+    return net, schema
 
 
 def ten_class_schema() -> FeatureSchema:

@@ -99,6 +99,21 @@ class TestSearchKappa:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("mode,eps", [("fair", "0"), ("robust", "-3")])
+    def test_query_checked_when_tolerance_spans_the_bracket(
+        self, capsys, files, tmp_path, mode, eps
+    ):
+        # A --tol of 1 covers [1/C, 1], yet the first probe builds the query,
+        # which needs a sensitive feature (fair) and eps >= 0 (robust).
+        schema = tmp_path / "plain.fs"
+        schema.write_text("cat group arity=2\n")
+        code, report = run_cli(
+            capsys, "search-kappa", files["flip"], "-s", schema,
+            "--mode", mode, "--eps", eps, "--tol", "1",
+        )
+        assert code == 3
+        assert report is None
+
 
 class TestAttainableTimeout:
     def test_search_reports_null_attainable(self, capsys, files, tmp_path):

@@ -5,11 +5,14 @@ import pytest
 
 from helpers import (
     OP_FALSE,
+    ORACLE_NETS,
     brute_force_min_kappa,
     brute_force_verify,
     enumerate_inputs,
     input_ref,
+    oracle_net,
     sleeping_solver,
+    small_schema,
 )
 
 from lgnsat import driver, solver
@@ -28,17 +31,7 @@ from lgnsat.evaluator import (
     predict,
 )
 from lgnsat.netlist import Netlist, random_netlist
-from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 from lgnsat.solver import SAT, UNSAT, SolveOutcome, SolverConfig
-
-
-def small_schema():
-    return FeatureSchema(
-        (
-            NumericFeature("v", 2, 0.0, 2.0),
-            CategoricalFeature("s", 2, sensitive=True),
-        )
-    )
 
 
 class TestVerifyAt:
@@ -72,6 +65,8 @@ class TestVerifyAt:
             verify_at(flip_net, flip_schema, mode, 0, kappa)
         with pytest.raises(QueryBuildError):
             search_min_kappa(flip_net, flip_schema, mode, 0)
+        with pytest.raises(QueryBuildError):  # the bracket [1/2, 1] is within tolerance
+            search_min_kappa(flip_net, flip_schema, mode, 0, tolerance=Fraction(1))
         with pytest.raises(QueryBuildError):
             sweep(flip_net, flip_schema, mode, 0, [kappa])
 
@@ -130,13 +125,13 @@ class TestSearchMinKappa:
         assert (result.kappa_lower, result.kappa_star) == (Fraction(1, 2), 1)
 
 
-ORACLE_NETS = [(2, 5), (3, 3), (5, 2)]  # (C, L); C=5 as in the paper's new dataset
-
-
-def oracle_net(classes, block_size):
-    schema = small_schema()
-    net = random_netlist(schema.width, [6, classes * block_size], classes, block_size, 2)
-    return net, schema
+def assert_farey_probes(result, n):
+    """Each probe and kappa* is a confidence a/t with t <= n = C*L, and no
+    threshold is probed twice."""
+    kappas = [q.kappa for q in result.queries]
+    assert all(k.denominator <= n for k in kappas), kappas
+    assert result.kappa_star.denominator <= n
+    assert len(set(kappas)) == len(kappas), kappas
 
 
 class TestExactSearch:
@@ -149,6 +144,7 @@ class TestExactSearch:
         oracle = brute_force_min_kappa(net, schema, mode, 1)
         assert result.kappa_star == result.kappa_lower == oracle
         assert all(q.kappa < 1 for q in result.queries)
+        assert_farey_probes(result, classes * block_size)
 
     @pytest.mark.parametrize("mode", [FAIR, ROBUST])
     @pytest.mark.parametrize("classes,block_size", ORACLE_NETS)
@@ -161,6 +157,7 @@ class TestExactSearch:
         assert result.kappa_lower <= oracle <= result.kappa_star
         assert result.kappa_star - result.kappa_lower <= tolerance
         assert all(q.kappa < 1 for q in result.queries)
+        assert_farey_probes(result, classes * block_size)
 
     def test_cut_short_bracket_holds_the_oracle(self, tmp_path):
         net, schema = oracle_net(3, 3)

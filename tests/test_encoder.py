@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    ORACLE_NETS,
     adult_schema,
     bcp_satisfiable,
     count_models,
     forced_values,
     models_over,
+    oracle_net,
     ten_class_schema,
 )
 
@@ -235,6 +237,20 @@ class TestConfidence:
                     assert got
                 else:
                     assert got == (confidence_of(scores, 2) > kappa), (scores, kappa)
+
+    @pytest.mark.parametrize("mode", ["fair", "robust"])
+    @pytest.mark.parametrize("classes,block_size", ORACLE_NETS)
+    def test_query_reads_kappa_only_at_farey_steps(self, classes, block_size, mode):
+        # No fraction a/t with t <= C*L lies in (7/10, 71/100], so the two
+        # give one formula; 1/C adds the some-output-bit-set clause.
+        net, schema = oracle_net(classes, block_size)
+
+        def dimacs(kappa):
+            return to_dimacs(build_query(net, schema, PropertyQuery(mode, 1, kappa))[0])
+
+        assert dimacs(Fraction(7, 10)) == dimacs(Fraction(71, 100))
+        floor = Fraction(1, classes)
+        assert dimacs(floor) != dimacs(floor - Fraction(1, 1000))
 
     def test_monotone_in_kappa(self):
         for scores in itertools.product(range(3), repeat=2):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import input_ref
+from helpers import input_ref, small_schema
 
 from lgnsat.errors import DataError
 from lgnsat.evaluator import predict
@@ -158,15 +158,6 @@ CSV_TEXT = """v,s,label
 """
 
 
-def small_schema():
-    return FeatureSchema(
-        (
-            NumericFeature("v", 2, 0.0, 2.0),
-            CategoricalFeature("s", 2, sensitive=True),
-        )
-    )
-
-
 @pytest.mark.parametrize("convert, message", [
     (lambda schema: schema.decode_bits((1, 0, 1)), "expected 4 bits, got 3"),
     (lambda schema: schema.encode_values((1,)), "expected 2 values, got 1"),
@@ -220,6 +211,10 @@ class TestLoadCsv:
 class TestLoadCsvLayout:
     """How ``load_csv`` reads the CSV layout, row by row: these pin the
     behaviour ``csv.DictReader`` gave, so the reader can change under them."""
+
+    def test_header_names_stripped_like_cells(self):
+        data = load_csv(small_schema(), "v , s,\tlabel\n 0 , 1 , 1\n")
+        assert data.rows == ((("0", "1"), 1),)
 
     def test_duplicated_header_column_last_wins(self):
         data = load_csv(small_schema(), "v,s,v,label\n0,0,1,0\n")
