@@ -4,16 +4,19 @@ safe threshold, attainability checks, and threshold sweeps.
 Every solver-backed call goes through ``_solve``: it builds the query,
 hands it to the solver, and reads a SAT model back as one concrete input
 per network copy, rechecked on the network. Each probe is a fresh solver
-invocation; searches and sweeps keep each probe's ``Verdict``, for their
-solve time, and pass them through one consistency rule, ``_check_consistent``.
+invocation, save that a search does not solve again a formula it found
+UNSAT; searches and sweeps keep each probe's ``Verdict``, for their solve
+time, and pass them through one consistency rule, ``_check_consistent``.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import solver as sat
+from .cnf import to_dimacs
 from .encoder import ATTAINABLE, PropertyQuery, build_query
 from .errors import DataError, EncodingConsistencyError, QueryBuildError
 from .evaluator import (
@@ -61,9 +64,13 @@ def _solve(
     schema: FeatureSchema,
     query: PropertyQuery,
     config: SolverConfig | None,
+    unsat: set[bytes] | None = None,
 ) -> tuple[str, tuple[InputRecord, ...] | None, VerdictStats]:
     """Build and solve one query. Returns the solver's status, the query's
     size and solve time, and on SAT one InputRecord per network copy.
+
+    A formula whose DIMACS sha256 is in ``unsat`` (when given) is UNSAT
+    without a solve, and each one solved UNSAT joins it. SAT is never reused.
 
     Each copy's bits must decode under the schema, and the first copy's
     confidence on the concrete network must strictly clear the threshold.
@@ -71,8 +78,13 @@ def _solve(
     is an internal bug, never something to report as a finding.
     """
     formula, varmap = build_query(netlist, schema, query)
+    digest = None if unsat is None else hashlib.sha256(to_dimacs(formula)).digest()
+    if digest is not None and digest in unsat:
+        return sat.UNSAT, None, VerdictStats(0.0, len(formula.clauses), formula.num_vars)
     outcome = sat.solve(formula, config)
     stats = VerdictStats(outcome.wall_time, len(formula.clauses), formula.num_vars)
+    if digest is not None and outcome.status == sat.UNSAT:
+        unsat.add(digest)
     if outcome.status != sat.SAT:
         return outcome.status, None, stats
     records = []
@@ -103,10 +115,15 @@ def verify_at(
     decoded pair, rechecked: the classes differ and the similarity
     predicate holds) on SAT, Unknown on timeout. ``mode`` is fair or
     robust; anything else is a QueryBuildError before any solve."""
+    return _verify(netlist, schema, mode, eps, kappa, config, None)
+
+
+def _verify(netlist, schema, mode, eps, kappa, config, unsat) -> Verdict:
+    """``verify_at`` with ``_solve``'s ``unsat`` digests."""
     if mode not in (FAIR, ROBUST):
         raise QueryBuildError(f"verify_at needs mode {FAIR!r} or {ROBUST!r}, got {mode!r}")
     query = PropertyQuery(mode, eps, Fraction(kappa))
-    status, records, stats = _solve(netlist, schema, query, config)
+    status, records, stats = _solve(netlist, schema, query, config, unsat)
     if records is None:
         return Verdict(HOLDS if status == sat.UNSAT else UNKNOWN, query.kappa, stats=stats)
     x, xp = records
@@ -137,14 +154,16 @@ def search_min_kappa(
     for i <= N. A counterexample sets ``lo`` to its witness's confidence,
     which is above kappa. The search stops after an Unknown probe, or once
     ``hi - lo <= tolerance`` (0: exact, kappa* is ``hi``).
+    A probe whose formula is byte for byte one already UNSAT is Holds at its
+    own kappa, with the formula's sizes and no solve.
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     n = netlist.num_classes * netlist.block_size
     lo = kappa = Fraction(1, netlist.num_classes)
-    hi, queries = Fraction(1), []
+    hi, queries, unsat = Fraction(1), [], set()
     while True:
-        verdict = verify_at(netlist, schema, mode, eps, kappa, config)
+        verdict = _verify(netlist, schema, mode, eps, kappa, config, unsat)
         queries.append(verdict)
         if verdict.status == HOLDS:
             hi = kappa

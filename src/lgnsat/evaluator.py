@@ -2,12 +2,14 @@
 similarity predicate.
 
 Evaluation is bit-sliced: the netlist's compiled program runs once over a
-whole batch of rows, on Python ints whose bit r belongs to row r. Class
-scores come from bit-plane counters over each block's output words, read
-back by bytes operations, so a batch costs one pass over the live gates
-plus work linear in the row count, with no Python loop over set bits.
-``predict`` and ``forward`` are one-row batches; ``accuracy`` evaluates
-all its rows in one batch.
+whole batch of rows, on Python ints whose bit r belongs to row r. A batch
+comes in as these words, one per input bit: ``ingest`` builds them from a
+CSV a feature column at a time, and one row's bits (each 0 or 1) are
+already its words, so ``predict`` and ``forward`` pass them through as a
+one-row batch. Class scores come from bit-plane counters over each
+block's output words, read back by bytes operations, so a batch costs one
+pass over the live gates plus work linear in the row count, with no
+Python loop over set bits. ``accuracy`` evaluates all its rows in one batch.
 
 Confidence is the winner block's popcount over the total output popcount,
 kept as an exact Fraction throughout: float comparison would corrupt
@@ -95,27 +97,21 @@ _OPS = (
     lambda a, b, m: m,
 )
 
-# Byte b of an input column -> its binary digit: "0" for 0, "1" otherwise.
-_BIT_DIGITS = b"0" + b"1" * 255
 # A binary digit -> the byte of its value: b"0" -> 0, b"1" -> 1.
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _output_words(netlist: Netlist, rows) -> list[int]:
-    """Run the compiled program over all rows at once; returns one int per
-    output bit, in block order, whose bit r is that output on row r."""
-    program = netlist.program
-    for bits in rows:
-        if len(bits) != netlist.input_width:
-            raise DataError(
-                f"input width mismatch: got {len(bits)}, "
-                f"expected {netlist.input_width}"
-            )
-    mask = (1 << len(rows)) - 1
-    values: list = [None] * (netlist.input_width + netlist.num_gates)
-    for i, column in enumerate(zip(*rows)):
-        values[i] = int(bytes(column[::-1]).translate(_BIT_DIGITS), 2)
-    for node, op, a, b in program:
+def _output_words(netlist: Netlist, columns, num_rows: int) -> list[int]:
+    """Run the compiled program over ``num_rows`` rows at once, given one
+    word per input bit; returns one word per output bit, in block order.
+    Bit r of every word belongs to row r."""
+    if len(columns) != netlist.input_width:
+        raise DataError(
+            f"input width mismatch: got {len(columns)}, expected {netlist.input_width}"
+        )
+    mask = (1 << num_rows) - 1
+    values = [*columns, *[None] * netlist.num_gates]
+    for node, op, a, b in netlist.program:
         values[node] = _OPS[op](values[a], values[b], mask)
     return values[len(values) - netlist.num_outputs:]
 
@@ -150,7 +146,7 @@ def _popcounts(words, num_rows: int) -> list[int]:
 
 def forward(netlist: Netlist, input_bits) -> list[int]:
     """Final-layer bits in block order for one input."""
-    return [w & 1 for w in _output_words(netlist, [input_bits])]
+    return [w & 1 for w in _output_words(netlist, input_bits, 1)]
 
 
 def winner_of(scores: tuple[int, ...]) -> int:
@@ -166,16 +162,17 @@ def confidence_of(scores: tuple[int, ...], num_classes: int) -> Fraction:
     return Fraction(scores[winner_of(scores)], total)
 
 
-def class_scores(netlist: Netlist, rows) -> list[tuple[int, ...]]:
-    """Each row's class-block popcounts, all (non-empty) rows evaluated bit-sliced."""
-    words, L = _output_words(netlist, rows), netlist.block_size
+def class_scores(netlist: Netlist, columns, num_rows: int) -> list[tuple[int, ...]]:
+    """Each row's class-block popcounts, for ``num_rows`` (at least one) rows
+    given as one word per input bit, all evaluated bit-sliced."""
+    words, L = _output_words(netlist, columns, num_rows), netlist.block_size
     blocks = (words[c * L:(c + 1) * L] for c in range(netlist.num_classes))
-    return list(zip(*(_popcounts(block, len(rows)) for block in blocks)))
+    return list(zip(*(_popcounts(block, num_rows) for block in blocks)))
 
 
 def predict(netlist: Netlist, input_bits) -> tuple[int, tuple[int, ...], Fraction]:
     """Predicted class, block scores, and exact confidence for one input."""
-    [scores] = class_scores(netlist, [input_bits])
+    [scores] = class_scores(netlist, input_bits, 1)
     return winner_of(scores), scores, confidence_of(scores, netlist.num_classes)
 
 

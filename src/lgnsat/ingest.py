@@ -3,14 +3,23 @@
 Rows are binarized with the same thermometer/one-hot conventions the
 property encoder constrains, so every encoded row satisfies the
 well-formedness predicate by construction. Missing values are rejected.
+
+Binarization yields the input words (bit r of word i is bit i of row r)
+a feature column at a time: cells are checked and converted in bulk, and
+each value's rows become a mask. Thermometer bit k ORs the masks of the
+buckets above k; a one-hot bit is one category's mask.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate
+from operator import itemgetter, or_
 
 from .errors import DataError
 from .evaluator import class_scores, winner_of
@@ -22,54 +31,95 @@ from .schema import FeatureSchema, NumericFeature
 class Dataset:
     """Parsed rows: per-row raw feature values plus a class label in
     0..C-1 (labels are 0-based, like every other index in this toolkit),
-    the file line each row starts on, by default 2, 3, ..., and each row's
-    input bits, encoded once here. Row errors name the row by that line.
+    the file line each row starts on, by default 2, 3, ..., and the input
+    words of all rows, built once here. Row errors name the row by that line.
     """
 
     schema: FeatureSchema
     rows: tuple[tuple[tuple, int], ...]
     lines: tuple[int, ...] = ()
-    bits: tuple[tuple[int, ...], ...] = field(init=False)
+    words: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if not self.lines:
             object.__setattr__(self, "lines", tuple(range(2, len(self.rows) + 2)))
-        bits = []
-        for lineno, (values, _) in zip(self.lines, self.rows, strict=True):
-            try:
-                bits.append(encode_row(self.schema, values))
-            except DataError as exc:
-                raise DataError(f"row {lineno}: {exc}")
-        object.__setattr__(self, "bits", tuple(bits))
+        values = [v for _, (v, _) in zip(self.lines, self.rows, strict=True)]
+        object.__setattr__(self, "words", input_words(self.schema, values, self.lines))
+
+
+def _read_all(cells, read, convert, reject: str) -> list:
+    """``read`` of each cell, up to the first it rejects (TypeError or ValueError);
+    ``convert`` is ``read`` on text free of ``reject``, mapped in bulk."""
+    try:
+        text = "".join(cells)
+        if not any(c in text for c in reject):
+            return list(map(convert, cells))
+    except (TypeError, ValueError):
+        pass
+    values = []
+    for cell in cells:
+        try:
+            values.append(read(cell))
+        except (TypeError, ValueError):
+            break
+    return values
+
+
+# A Python number is a numeric value itself, and text takes no "_"; a Python
+# int is a category itself, and text must be digits.
+_NUMBER = (lambda raw: read_float(raw) if type(raw) is str else float(raw), float, "_")
+_CATEGORY = (lambda raw: raw if type(raw) is int else read_int(raw), int, "_+")
+
+
+def _value_masks(values: list[int], size: int) -> list[int]:
+    """Per value v in 0..size-1, the mask of the rows holding v, read from one
+    byte per row; past 255, the AND of the masks of the low byte and the rest."""
+    if size > 256:
+        low = _value_masks([v & 255 for v in values], 256)
+        high = _value_masks([v >> 8 for v in values], (size + 255) >> 8)
+        return [high[v >> 8] & low[v & 255] for v in range(size)]
+    column = bytes(values[::-1])  # the last row is the high digit
+    return [int(column.translate(b"0" * v + b"1" + b"0" * (255 - v)), 2) for v in range(size)]
+
+
+def input_words(schema: FeatureSchema, rows, lines=None) -> tuple[int, ...]:
+    """Rows of raw feature values -> input words. The first bad row is reported:
+    a wrong value count, else its first value that does not convert or lies out
+    of range, else its first unknown category, named by ``lines`` if given."""
+    count, good = len(schema.features), len(rows)
+    if not set(map(len, rows)) <= {count}:
+        good = next(r for r, values in enumerate(rows) if len(values) != count)
+    bad = [(good, 0, f"expected {count} values, got {len(rows[good])}")] if good < len(rows) else []
+    words = []
+    for f, cells in zip(schema.features, zip(*rows[:good])):
+        num = isinstance(f, NumericFeature)
+        values = _read_all(cells, *(_NUMBER if num else _CATEGORY))
+        lo, hi = (f.lo, f.hi) if num else (0, f.arity - 1)
+        # NaN fails every comparison and makes the sum NaN.
+        if values and not (lo <= min(values) and max(values) <= hi and (s := sum(values)) == s):
+            r = next(r for r, v in enumerate(values) if not lo <= v <= hi)
+            error = (f"value {values[r]!r} outside [{lo}, {hi}]" if num
+                     else f"unknown category {values[r]!r}")
+            bad.append((r, 1 - num, f"feature {f.name!r}: {error}"))
+        elif len(values) < good:
+            error = "non-numeric value" if num else "unknown category"
+            bad.append((len(values), 0, f"feature {f.name!r}: {error} {cells[len(values)]!r}"))
+        elif num and not bad:
+            masks = _value_masks(list(map(partial(bisect_right, f.cut_points), values)), f.bits + 1)
+            words += list(accumulate(masks[:0:-1], or_))[::-1]
+        elif not bad:
+            words += _value_masks(values, f.arity)
+    if bad:
+        r, _, message = min(bad, key=itemgetter(0, 1))
+        raise DataError(message if lines is None else f"row {lines[r]}: {message}")
+    return tuple(words) if rows else (0,) * schema.width
 
 
 def encode_row(schema: FeatureSchema, raw_values) -> tuple[int, ...]:
-    """Raw feature values -> input bits.
-
-    Numeric values are bucketed via the feature's thresholds and emitted as
-    thermometer bits; categorical values must be integer category indices
-    and become one-hot bits. Out-of-range values and unknown categories are
-    errors.
-    """
-    if len(raw_values) != len(schema.features):
-        raise DataError(
-            f"expected {len(schema.features)} values, got {len(raw_values)}"
-        )
-    buckets = []
-    for f, raw in zip(schema.features, raw_values):
-        if isinstance(f, NumericFeature):
-            try:  # a Python number is the value itself; text takes no "_"
-                value = read_float(raw) if type(raw) is str else float(raw)
-            except (TypeError, ValueError):
-                raise DataError(f"feature {f.name!r}: non-numeric value {raw!r}")
-            buckets.append(f.bucket_of(value))
-        else:
-            try:  # a Python int is the category itself; text must be digits
-                cat = raw if type(raw) is int else read_int(raw)
-            except (TypeError, ValueError):
-                raise DataError(f"feature {f.name!r}: unknown category {raw!r}")
-            buckets.append(cat)
-    return schema.encode_values(buckets)
+    """Raw feature values -> input bits, as the one-row case of ``input_words``:
+    numbers are bucketed by the feature's thresholds into thermometer bits,
+    integer category indices become one-hot bits."""
+    return input_words(schema, [raw_values])
 
 
 def _records(reader):
@@ -84,12 +134,21 @@ def _records(reader):
         raise DataError(f"row {line}: {exc}") from None
 
 
+def _cells(records, i: int, default) -> list:
+    """Cell ``i`` of each record, ``default`` where a record is shorter."""
+    try:
+        return list(map(itemgetter(i), records))
+    except IndexError:
+        return [r[i] if i < len(r) else default for r in records]
+
+
 def load_csv(schema: FeatureSchema, data: bytes | str, label_col: str = "label") -> Dataset:
     """Parse a CSV file with a header row whose columns include every schema
     feature name plus the label column; callers read the file, so the bytes
     they hash are the bytes parsed. Header names and cells are stripped,
     blank lines skipped, cells past the header ignored, and a repeated
-    header name reads its last column. Rows are numbered by their first line."""
+    header name reads its last column. Rows are numbered by their first line.
+    Every row's cells and label are checked before any value is converted."""
     records = _records(csv.reader(io.StringIO(read_text(data, DataError))))
     _, header = next(records, (None, None))
     if header is None:
@@ -100,26 +159,20 @@ def load_csv(schema: FeatureSchema, data: bytes | str, label_col: str = "label")
         raise DataError(f"CSV is missing feature columns: {missing}")
     if label_col not in column:
         raise DataError(f"CSV is missing label column {label_col!r}")
-    cells = [(f.name, column[f.name]) for f in schema.features]
-    label_at = column[label_col]
-    rows, lines = [], []
+    lines, rows = [], []
     for lineno, record in records:
-        if not record:  # a blank line
-            continue
-        values = []
-        for name, i in cells:
-            cell = record[i].strip() if i < len(record) else ""
-            if not cell:
-                raise DataError(f"row {lineno}: missing value for {name!r}")
-            values.append(cell)
-        label = record[label_at] if label_at < len(record) else None
-        try:
-            label = read_int(label)
-        except (TypeError, ValueError):
-            raise DataError(f"row {lineno}: non-integer label {label!r}")
-        rows.append((tuple(values), label))
-        lines.append(lineno)
-    return Dataset(schema, tuple(rows), tuple(lines))
+        if record:  # not a blank line
+            lines.append(lineno)
+            rows.append(record)
+    cells = [list(map(str.strip, _cells(rows, column[f.name], ""))) for f in schema.features]
+    raw_labels = _cells(rows, column[label_col], None)
+    labels = _read_all(raw_labels, read_int, int, "_+")
+    r, j = min(((c.index(""), j) for j, c in enumerate(cells) if "" in c), default=(len(rows), 0))
+    if r <= len(labels) and r < len(rows):
+        raise DataError(f"row {lines[r]}: missing value for {schema.features[j].name!r}")
+    if len(labels) < len(rows):
+        raise DataError(f"row {lines[len(labels)]}: non-integer label {raw_labels[len(labels)]!r}")
+    return Dataset(schema, tuple(zip(zip(*cells), labels)), tuple(lines))
 
 
 def accuracy(netlist: Netlist, dataset: Dataset) -> Fraction:
@@ -137,8 +190,6 @@ def accuracy(netlist: Netlist, dataset: Dataset) -> Fraction:
             raise DataError(
                 f"row {lineno}: label {label} outside 0..{netlist.num_classes - 1}"
             )
-    hits = sum(
-        winner_of(s) == label
-        for s, (_, label) in zip(class_scores(netlist, dataset.bits), dataset.rows)
-    )
+    scores = class_scores(netlist, dataset.words, len(dataset.rows))
+    hits = sum(winner_of(s) == label for s, (_, label) in zip(scores, dataset.rows))
     return Fraction(hits, len(dataset.rows))

@@ -2,13 +2,12 @@
 
 Numerical features use thermometer encoding: bucket value v over B bits sets
 bits 0..v-1. Categorical features use one-hot over their arity. This module
-owns the single definition of bit-pattern validity that both the CNF
-encoder and the data ingest rely on.
+owns the single definition of bit-pattern validity, which ``decode_bits``
+checks on every input read back from bits.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
@@ -47,15 +46,6 @@ class NumericFeature:
             return self.thresholds
         step = (self.hi - self.lo) / (self.bits + 1)
         return tuple(self.lo + step * k for k in range(1, self.bits + 1))
-
-    def bucket_of(self, value: float) -> int:
-        """Number of cut points at or below ``value``: a value exactly on a
-        cut belongs to the bucket above it."""
-        if not self.lo <= value <= self.hi:
-            raise DataError(
-                f"feature {self.name!r}: value {value!r} outside [{self.lo}, {self.hi}]"
-            )
-        return bisect_right(self.cut_points, value)
 
     def bucket_interval(self, bucket: int) -> tuple[float, float]:
         """Value interval [lo, hi) covered by a bucket index."""
@@ -130,7 +120,7 @@ class FeatureSchema:
             v.append((None, "schema has no features"))
         return v
 
-    # -- bit-pattern validity (shared by encoder and ingest) ---------------
+    # -- bit-pattern validity (read back by decode_bits) --------------------
 
     @cached_property
     def _bit_patterns(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -166,23 +156,6 @@ class FeatureSchema:
                     f"feature {f.name!r}: bits {''.join(map(str, block))} are not {kind}"
                 ) from None
         return tuple(values)
-
-    def encode_values(self, values) -> tuple[int, ...]:
-        """Per-feature values (bucket/category indices) -> bit vector."""
-        if len(values) != len(self.features):
-            raise DataError(
-                f"expected {len(self.features)} values, got {len(values)}"
-            )
-        bits: list[int] = []
-        for f, patterns, v in zip(self.features, self._bit_patterns, values):
-            if not 0 <= v < len(patterns):
-                raise DataError(
-                    f"feature {f.name!r}: bucket {v} outside 0..{f.bits}"
-                    if isinstance(f, NumericFeature)
-                    else f"feature {f.name!r}: unknown category {v!r}"
-                )
-            bits += patterns[v]
-        return tuple(bits)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,17 @@ from a complete input assignment). ``reference_add_clause`` restates the
 package's clause normaliser in its plainest form, a list scan, so tests can
 require the very same clause stream. The named op codes and ``gate_truth``
 are for building and reading test netlists, ``check_phi`` reads Phi on bit
-vectors, ``sleeping_solver`` stands in for a solver that stops answering,
-``lying_solver`` for one whose model is wrong, and ``running`` tells
+vectors, ``row_words`` turns rows of bits into the evaluator's input words,
+``reference_load_csv`` restates the column-at-a-time CSV ingest value by
+value and row by row, ``sleeping_solver`` stands in for a solver that stops
+answering, ``lying_solver`` for one whose model is wrong, and ``running`` tells
 whether a process these solvers started is still alive.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import os
 import re
@@ -27,7 +31,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from lgnsat.errors import NetlistFormatError
+from lgnsat.errors import DataError, NetlistFormatError
 
 from lgnsat.evaluator import (
     COUNTEREXAMPLE,
@@ -43,7 +47,8 @@ from lgnsat.evaluator import (
     phi_on_values,
     winner_of,
 )
-from lgnsat.netlist import Netlist, random_netlist
+from lgnsat.ingest import _records
+from lgnsat.netlist import Netlist, random_netlist, read_float, read_int, read_text
 from lgnsat.schema import CategoricalFeature, FeatureSchema, NumericFeature
 from lgnsat.solver import BUILTIN_SOLVER
 
@@ -387,6 +392,108 @@ def reference_add_clause(builder, lits) -> None:
     builder.clauses.extend(seen, b"%d " * len(seen) + b"0\n", 1)
 
 
+# -- rows of bits, and the per-row ingest ---------------------------------------
+
+
+def row_words(rows) -> list[int]:
+    """Rows of input bits -> the evaluator's words: word i has bit r set
+    when bit i of row r is. ``zip`` stops at the shortest row, so a short
+    row leaves too few words, which the evaluator rejects."""
+    return [sum(bit << r for r, bit in enumerate(column)) for column in zip(*rows)]
+
+
+def encode_values(schema: FeatureSchema, values) -> tuple[int, ...]:
+    """Per-feature values (bucket/category indices) -> bit vector: bucket v
+    of a numeric feature sets its first v bits, category v its bit v."""
+    if len(values) != len(schema.features):
+        raise DataError(f"expected {len(schema.features)} values, got {len(values)}")
+    bits: list[int] = []
+    for f, v in zip(schema.features, values):
+        if isinstance(f, NumericFeature):
+            if not 0 <= v <= f.bits:
+                raise DataError(f"feature {f.name!r}: bucket {v} outside 0..{f.bits}")
+            bits += [1] * v + [0] * (f.bits - v)
+        else:
+            if not 0 <= v < f.arity:
+                raise DataError(f"feature {f.name!r}: unknown category {v!r}")
+            bits += [int(k == v) for k in range(f.arity)]
+    return tuple(bits)
+
+
+def reference_bucket(f: NumericFeature, value: float) -> int:
+    """Number of cut points at or below ``value``, by a scan."""
+    if not f.lo <= value <= f.hi:
+        raise DataError(f"feature {f.name!r}: value {value!r} outside [{f.lo}, {f.hi}]")
+    return sum(cut <= value for cut in f.cut_points)
+
+
+def reference_encode_row(schema: FeatureSchema, raw_values) -> tuple[int, ...]:
+    """``encode_row`` one value at a time: numbers are bucketed and every
+    category read in one pass, and the categories range-checked in a second."""
+    if len(raw_values) != len(schema.features):
+        raise DataError(f"expected {len(schema.features)} values, got {len(raw_values)}")
+    buckets = []
+    for f, raw in zip(schema.features, raw_values):
+        if isinstance(f, NumericFeature):
+            try:
+                value = read_float(raw) if type(raw) is str else float(raw)
+            except (TypeError, ValueError):
+                raise DataError(f"feature {f.name!r}: non-numeric value {raw!r}")
+            buckets.append(reference_bucket(f, value))
+        else:
+            try:
+                buckets.append(raw if type(raw) is int else read_int(raw))
+            except (TypeError, ValueError):
+                raise DataError(f"feature {f.name!r}: unknown category {raw!r}")
+    return encode_values(schema, buckets)
+
+
+def reference_dataset_bits(schema: FeatureSchema, rows, lines=()) -> list[tuple[int, ...]]:
+    """Each row's bits, encoded row by row like ``Dataset``; a row error
+    names the row by its line, 2, 3, ... unless ``lines`` are given."""
+    bits = []
+    for lineno, (values, _) in zip(lines or range(2, len(rows) + 2), rows, strict=True):
+        try:
+            bits.append(reference_encode_row(schema, values))
+        except DataError as exc:
+            raise DataError(f"row {lineno}: {exc}")
+    return bits
+
+
+def reference_load_csv(schema: FeatureSchema, data, label_col: str = "label"):
+    """``load_csv`` record by record: the rows and their lines, every row's
+    cells and label checked in file order, then each row's bits."""
+    records = _records(csv.reader(io.StringIO(read_text(data, DataError))))
+    _, header = next(records, (None, None))
+    if header is None:
+        raise DataError("CSV has no header row")
+    column = {name.strip(): i for i, name in enumerate(header)}
+    missing = [f.name for f in schema.features if f.name not in column]
+    if missing:
+        raise DataError(f"CSV is missing feature columns: {missing}")
+    if label_col not in column:
+        raise DataError(f"CSV is missing label column {label_col!r}")
+    rows, lines = [], []
+    for lineno, record in records:
+        if not record:
+            continue
+        values = []
+        for f in schema.features:
+            i = column[f.name]
+            cell = record[i].strip() if i < len(record) else ""
+            if not cell:
+                raise DataError(f"row {lineno}: missing value for {f.name!r}")
+            values.append(cell)
+        label = record[column[label_col]] if column[label_col] < len(record) else None
+        try:
+            label = read_int(label)
+        except (TypeError, ValueError):
+            raise DataError(f"row {lineno}: non-integer label {label!r}")
+        rows.append((tuple(values), label))
+        lines.append(lineno)
+    return tuple(rows), tuple(lines), reference_dataset_bits(schema, rows, lines)
+
+
 # -- brute-force verification oracles ------------------------------------------
 
 # Pair-enumeration guard for the brute-force oracle.
@@ -427,12 +534,12 @@ def predict_rows(netlist: Netlist, rows) -> list[tuple[int, tuple[int, ...], Fra
     batch."""
     return [
         (winner_of(s), s, confidence_of(s, netlist.num_classes))
-        for s in class_scores(netlist, rows)
+        for s in class_scores(netlist, row_words(rows), len(rows))
     ]
 
 
 def _prediction_table(netlist: Netlist, schema: FeatureSchema) -> list[InputRecord]:
-    inputs = [(v, schema.encode_values(v)) for v in enumerate_inputs(schema)]
+    inputs = [(v, encode_values(schema, v)) for v in enumerate_inputs(schema)]
     predictions = predict_rows(netlist, [bits for _, bits in inputs])
     return [
         InputRecord(values, bits, cls, conf)

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import running, sleeping_solver
+from helpers import reference_encode_row, running, sleeping_solver
 
 import lgnsat
 from lgnsat import cli
 from lgnsat.cli import build_parser, main
-from lgnsat.netlist import serialize_netlist
+from lgnsat.errors import DataError
+from lgnsat.netlist import random_netlist, serialize_netlist
 from lgnsat.schema import serialize_schema
 from lgnsat.solver import BUILTIN_SOLVER, MAX_TIMEOUT, find_solver
 
@@ -198,6 +199,25 @@ class TestGenRandomEvalAccuracy:
         assert by_row["result"] == by_bits["result"]
         assert by_row["result"]["class"] == 1
         assert by_row["result"]["confidence"]["exact"] == "1"
+
+    @pytest.mark.parametrize("row", ["0.5,1", " 2 , 0 ", "3,1", "1.5,0", "0,2", "nan,1", "1"])
+    def test_eval_row_is_the_row_path(self, capsys, tmp_path, mixed_schema, row):
+        # The report of --row is that of --bits on the row's bits, and a bad
+        # row's error is the one the row-by-row encoding gives.
+        net, schema = tmp_path / "net.lgn", tmp_path / "s.fs"
+        net.write_bytes(serialize_netlist(random_netlist(mixed_schema.width, [6, 4], 2, 2, seed=3)))
+        schema.write_bytes(serialize_schema(mixed_schema))
+        code, by_row = run_cli(capsys, "eval", net, "-s", schema, "--row", row)
+        try:
+            bits = reference_encode_row(mixed_schema, [v.strip() for v in row.split(",")])
+        except DataError as exc:
+            assert code == 2
+            assert by_row["error"] == {"type": "DataError", "message": str(exc)}
+            return
+        code_bits, by_bits = run_cli(
+            capsys, "eval", net, "-s", schema, "--bits", "".join(map(str, bits)))
+        assert code == code_bits == 0
+        assert by_row["result"] == by_bits["result"]
 
     @pytest.mark.parametrize("bits, message", [
         ("012", "--bits must be a 0/1 string, got '012'"),

@@ -1,3 +1,4 @@
+import hashlib
 import stat
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from helpers import (
     ORACLE_NETS,
     brute_force_min_kappa,
     brute_force_verify,
+    encode_values,
     enumerate_inputs,
     input_ref,
     oracle_net,
@@ -17,6 +19,7 @@ from helpers import (
 
 from lgnsat import driver, solver
 from lgnsat.driver import check_attainable, search_min_kappa, sweep, verify_at
+from lgnsat.cnf import to_dimacs
 from lgnsat.encoder import ATTAINABLE, PropertyQuery, build_query
 from lgnsat.errors import EncodingConsistencyError, QueryBuildError
 from lgnsat.evaluator import (
@@ -159,6 +162,43 @@ class TestExactSearch:
         assert all(q.kappa < 1 for q in result.queries)
         assert_farey_probes(result, classes * block_size)
 
+    @pytest.mark.parametrize("mode", [FAIR, ROBUST])
+    def test_no_formula_solved_twice(self, monkeypatch, mode, solver_config):
+        # On this net two probes of each search give byte-identical formulas.
+        net, schema = oracle_net(2, 5)
+        digests, solve = [], solver.solve
+
+        def counting_solve(formula, config=None):
+            digests.append(hashlib.sha256(to_dimacs(formula)).hexdigest())
+            return solve(formula, config)
+
+        monkeypatch.setattr(solver, "solve", counting_solve)
+        result = search_min_kappa(net, schema, mode, 1, 0, solver_config)
+        assert result.kappa_star == brute_force_min_kappa(net, schema, mode, 1)
+        assert len(digests) == len(set(digests))
+        assert len(result.queries) > len(digests)
+        reused = [q for q in result.queries if q.stats.wall_time == 0]
+        assert len(reused) == len(result.queries) - len(digests)
+        for q in reused:
+            query = PropertyQuery(mode, 1, q.kappa)
+            formula, _ = build_query(net, schema, query)
+            assert q.status == HOLDS
+            sizes = (len(formula.clauses), formula.num_vars)
+            assert (q.stats.num_clauses, q.stats.num_vars) == sizes
+            assert hashlib.sha256(to_dimacs(formula)).hexdigest() in digests
+
+    def test_sat_formula_is_solved_again(self, monkeypatch, flip_net, flip_schema, solver_config):
+        # Only UNSAT digests are kept, so a repeated SAT formula is solved and
+        # rechecked each time.
+        calls, solve = [], solver.solve
+        monkeypatch.setattr(solver, "solve", lambda f, c=None: calls.append(f) or solve(f, c))
+        unsat: set[bytes] = set()
+        query = PropertyQuery(FAIR, 0, Fraction(1, 2))
+        for _ in range(2):
+            status, records, _ = driver._solve(flip_net, flip_schema, query, solver_config, unsat)
+            assert status == SAT and records is not None
+        assert len(calls) == 2 and not unsat
+
     def test_cut_short_bracket_holds_the_oracle(self, tmp_path):
         net, schema = oracle_net(3, 3)
         config = SolverConfig(str(sleeping_solver(tmp_path, answered=2)), timeout=2.0)
@@ -188,7 +228,7 @@ class TestAttainable:
         net = random_netlist(4, [5, 4], 2, 2, seed=seed)
         confs = []
         for values in enumerate_inputs(schema):
-            bits = schema.encode_values(values)
+            bits = encode_values(schema, values)
             _, scores, conf = predict(net, bits)
             if sum(scores) > 0:
                 confs.append(conf)
@@ -352,12 +392,12 @@ class TestRechecks:
             (Fraction(7, 10), COUNTEREXAMPLE, Fraction(9, 10)),
         ])
 
-        def fake_verify_at(netlist, schema, mode, eps, kappa, config=None):
+        def fake_verify(netlist, schema, mode, eps, kappa, config, unsat):
             expected, status, conf = next(replies)
             assert kappa == expected
             witness = Witness(record(conf), record(conf)) if conf else None
             return Verdict(status, kappa, witness)
 
-        monkeypatch.setattr(driver, "verify_at", fake_verify_at)
+        monkeypatch.setattr(driver, "_verify", fake_verify)
         with pytest.raises(EncodingConsistencyError, match="not monotone"):
             search_min_kappa(net, small_schema(), FAIR, 0)

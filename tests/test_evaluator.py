@@ -13,6 +13,7 @@ from helpers import (
     gate_ref,
     input_ref,
     interpret,
+    encode_values,
     predict_rows,
 )
 
@@ -187,8 +188,13 @@ class TestBatchEvaluation:
             assert set(predict_rows(net, rows)) == {(0, scores, conf)}
 
     def test_width_mismatch_in_any_row(self):
-        with pytest.raises(DataError):
-            class_scores(const_block_net([1, 1], 2, 1), [(0, 0), (0,)])
+        # A short row among the rows leaves one word, where the net needs two.
+        net = const_block_net([1, 1], 2, 1)
+        with pytest.raises(DataError, match="^input width mismatch: got 1, expected 2$"):
+            predict_rows(net, [(0, 0), (0,)])
+        for words in ([0], [0, 0, 0]):
+            with pytest.raises(DataError, match="input width mismatch"):
+                class_scores(net, words, 2)
 
 
 class TestCheckPhi:
@@ -202,7 +208,7 @@ class TestCheckPhi:
         )
 
     def bits(self, v, c, s):
-        return self.schema().encode_values((v, c, s))
+        return encode_values(self.schema(), (v, c, s))
 
     def test_reflexive_robust(self):
         x = self.bits(3, 1, 0)

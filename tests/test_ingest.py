@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import input_ref, small_schema
+from helpers import (
+    encode_values,
+    input_ref,
+    reference_bucket,
+    reference_dataset_bits,
+    reference_encode_row,
+    reference_load_csv,
+    row_words,
+    small_schema,
+)
 
 from lgnsat.errors import DataError
 from lgnsat.evaluator import predict
@@ -53,16 +62,20 @@ class TestEncodeRow:
     def test_bucket_boundaries(self):
         # Equal-width cuts of [0, 4] over 3 bits fall on 1, 2 and 3; a value
         # on a cut goes to the bucket above it.
+        def buckets(f, values):
+            schema = FeatureSchema((f,))
+            return [schema.decode_bits(encode_row(schema, [v]))[0] for v in values]
+
         f = NumericFeature("v", 3, 0.0, 4.0)
         assert f.cut_points == (1.0, 2.0, 3.0)
         values = (0.0, 0.999, 1.0, 1.5, 2.0, 2.999, 3.0, 4.0)
-        assert [f.bucket_of(v) for v in values] == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert buckets(f, values) == [0, 0, 1, 1, 2, 2, 3, 3]
         g = NumericFeature("h", 3, 0.0, 80.0, thresholds=(10.0, 25.0, 40.0))
         values = (0.0, 9.99, 10.0, 24.9, 25.0, 40.0, 80.0)
-        assert [g.bucket_of(v) for v in values] == [0, 0, 1, 1, 2, 3, 3]
+        assert buckets(g, values) == [0, 0, 1, 1, 2, 3, 3]
         for outside in (-0.001, 4.001):
             with pytest.raises(DataError, match="outside"):
-                f.bucket_of(outside)
+                buckets(f, [outside])
 
     def test_thresholds_must_ascend(self):
         f = NumericFeature("h", 3, 0.0, 80.0, thresholds=(25.0, 10.0, 40.0))
@@ -85,7 +98,7 @@ class TestEncodeRow:
     def test_python_values(self):
         schema = FeatureSchema((NumericFeature("a", 2, 0.0, 3.0), CategoricalFeature("c", 3)))
         assert encode_row(schema, [1.5, 2]) == encode_row(schema, ["1.5", "2"]) == (1, 0, 0, 0, 1)
-        assert Dataset(schema, (((1.5, 2), 0),)).bits == ((1, 0, 0, 0, 1),)
+        assert Dataset(schema, (((1.5, 2), 0),)).words == (1, 0, 0, 0, 1)
         with pytest.raises(DataError, match="^feature 'c': unknown category 3$"):
             encode_row(schema, [1.5, 3])
 
@@ -98,7 +111,7 @@ class TestEncodeRow:
                 if isinstance(f, NumericFeature):
                     value = rng.uniform(f.lo, f.hi)
                     raw.append(str(value))
-                    expected.append(f.bucket_of(value))
+                    expected.append(reference_bucket(f, value))
                 else:
                     cat = rng.randrange(f.arity)
                     raw.append(str(cat))
@@ -145,8 +158,8 @@ class TestDecodeBits:
                 else rng.randrange(f.arity)
                 for f in schema.features
             )
-            bits = schema.encode_values(values)
-            assert schema.encode_values(schema.decode_bits(bits)) == bits
+            bits = encode_values(schema, values)
+            assert encode_values(schema, schema.decode_bits(bits)) == bits
 
 
 CSV_TEXT = """v,s,label
@@ -160,7 +173,7 @@ CSV_TEXT = """v,s,label
 
 @pytest.mark.parametrize("convert, message", [
     (lambda schema: schema.decode_bits((1, 0, 1)), "expected 4 bits, got 3"),
-    (lambda schema: schema.encode_values((1,)), "expected 2 values, got 1"),
+    (lambda schema: encode_values(schema, (1,)), "expected 2 values, got 1"),
     (lambda schema: encode_row(schema, ["1"]), "expected 2 values, got 1"),
 ], ids=["decode_bits", "encode_values", "encode_row"])
 def test_wrong_length_rejected(convert, message):
@@ -371,7 +384,7 @@ class TestAccuracy:
 
         schema = small_schema()
         data = load_csv(schema, CSV_TEXT)
-        assert data.bits == tuple(encode_row(schema, v) for v, _ in data.rows)
+        assert data.words == tuple(row_words([encode_row(schema, v) for v, _ in data.rows]))
         net = random_netlist(schema.width, [9, 6], 2, 3, seed=5)
         expected = accuracy(net, Dataset(schema, data.rows))
 
@@ -397,3 +410,178 @@ class TestAccuracy:
         ]
         # labels are independent of inputs: mean accuracy hovers near 1/C
         assert 0.3 < sum(accs) / len(accs) < 0.7
+
+
+def outcome(call):
+    """``call()``, or the type and text of the DataError it raises."""
+    try:
+        return call()
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+def four_feature_schema():
+    """Default and explicit cuts, a sensitive and a non-sensitive category."""
+    return FeatureSchema(
+        (
+            NumericFeature("a", 4, 0.0, 5.0),
+            CategoricalFeature("c", 3),
+            NumericFeature("h", 3, 0.0, 80.0, thresholds=(10.0, 25.0, 40.0)),
+            CategoricalFeature("s", 2, sensitive=True),
+        )
+    )
+
+
+def random_cells(schema, rng):
+    return [
+        f"{rng.uniform(f.lo, f.hi):.3f}" if isinstance(f, NumericFeature)
+        else str(rng.randrange(f.arity))
+        for f in schema.features
+    ]
+
+
+# Damage to one cell: (applies to numeric cells, to categorical ones, to labels).
+DAMAGE = {
+    "missing": ("", "", None),
+    "spaces": ("  ", " ", None),
+    "underscore": ("1_0", "1_0", "1_0"),
+    "plus": (None, "+1", "+1"),
+    "nan": ("nan", "nan", "nan"),
+    "inf": ("inf", "inf", "-inf"),
+    "out-of-range": ("-0.5", "3", None),
+    "too-large": ("99", "-1", None),
+    "unknown": ("x", "blue", "x"),
+    "label": (None, None, ""),
+}
+
+
+class TestColumnsMatchRowPath:
+    """``load_csv`` and ``Dataset`` build words a column at a time; the
+    row-by-row path of ``reference_load_csv`` must give the same rows, lines
+    and words, or the same DataError."""
+
+    def check_csv(self, schema, text):
+        def new():
+            data = load_csv(schema, text)
+            return data.rows, data.lines, data.words
+
+        def old():
+            rows, lines, bits = reference_load_csv(schema, text)
+            return rows, lines, tuple(row_words(bits)) if bits else (0,) * schema.width
+
+        got = outcome(new)
+        assert got == outcome(old)
+        return got
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_damaged_csv(self, seed):
+        schema = four_feature_schema()
+        rng = random.Random(seed)
+        errors = set()
+        for _ in range(40):
+            records = [random_cells(schema, rng) + [str(rng.randrange(2))]
+                       for _ in range(rng.randint(1, 12))]
+            for _ in range(rng.randint(0, 3)):
+                damage = DAMAGE[rng.choice(sorted(DAMAGE))]
+                r, j = rng.randrange(len(records)), rng.randrange(len(schema.features) + 1)
+                kind = 2 if j == len(schema.features) else (
+                    isinstance(schema.features[j], CategoricalFeature))
+                if damage[kind] is not None:
+                    records[r][j] = damage[kind]
+            if rng.random() < 0.3:  # a short record
+                cells = rng.choice(records)
+                del cells[rng.randrange(len(cells)):]
+            lines = ["a,c,h,s,label"] + [",".join(cells) for cells in records]
+            for _ in range(rng.randint(0, 2)):  # blank lines
+                lines.insert(rng.randint(1, len(lines)), "")
+            got = self.check_csv(schema, "\n".join(lines) + "\n")
+            if got[0] is DataError:
+                errors.add(re.sub(r"^row \d+: (feature '.': )?", "", got[1]).split(" ")[0])
+        assert len(errors) >= 3, errors
+
+    def test_error_order_within_and_across_rows(self):
+        schema = four_feature_schema()
+        header = "a,c,h,s,label\n"
+        for body in [
+            "1,1,1,1,0\n1,9,x,1,0\n",    # a conversion before an earlier unknown category
+            "1,9,1,1,0\n1,x,1,1,0\n",    # an earlier row's unknown category first
+            "1,9,1,x,0\n",               # both kinds in one row: the conversion
+            "9,1,1,1,0\n1,1,1,1,x\n",    # a later bad label before any conversion
+            "1,1,1,1,x\n1,,1,1,0\n",     # a missing cell before a bad label in its row only
+            "1,1,1,1,0\n1,1,1,,x\n",     # missing, then the label, in one row
+            "1,1,nan,1,0\n1,1,inf,1,0\n",
+        ]:
+            assert self.check_csv(schema, header + body)[0] is DataError
+
+    def test_python_rows(self):
+        schema = four_feature_schema()
+        rng = random.Random(5)
+        bad = [None, "1_0", "+1", float("nan"), float("inf"), -1, 2.0, True, "x", 3, 99]
+
+        def value(f):
+            if rng.random() < 0.03:
+                return rng.choice(bad)
+            if isinstance(f, NumericFeature):
+                return rng.choice([f.lo, f.hi, (f.lo + f.hi) / 2, int(f.hi), True, " 3 ", "2.5"])
+            return rng.choice([rng.randrange(f.arity), str(rng.randrange(f.arity)), " 1 "])
+
+        kinds = set()
+        for _ in range(400):
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                values = [value(f) for f in schema.features]
+                if rng.random() < 0.03:
+                    values = values[:rng.randrange(4)] + [1] * rng.randrange(2)
+                rows.append((tuple(values), 0))
+            lines = tuple(rng.sample(range(2, 50), len(rows))) if rng.random() < 0.5 else ()
+            got = outcome(lambda: Dataset(schema, tuple(rows), lines).words)
+            want = outcome(lambda: tuple(row_words(reference_dataset_bits(schema, rows, lines))))
+            assert got == want
+            kinds.add(got[0] is DataError)
+        assert kinds == {True, False}
+
+    def test_encode_row_is_the_row_path(self):
+        schema = four_feature_schema()
+        for values in (["1", "2", "30", "1"], [0.0, 0, 80.0, 1], ["5", "0", "x", "2"],
+                       ["1", "3", "1", "1"], ["1"], [1, 1, 1, 1, 1]):
+            assert outcome(lambda: encode_row(schema, values)) == outcome(
+                lambda: reference_encode_row(schema, values))
+
+
+class TestShapes:
+    @pytest.mark.parametrize("num_rows", [1, 7, 8, 9, 64, 65])
+    def test_row_counts(self, num_rows):
+        from lgnsat.netlist import random_netlist
+
+        schema = four_feature_schema()
+        rng = random.Random(num_rows)
+        records = [random_cells(schema, rng) + [str(rng.randrange(3))] for _ in range(num_rows)]
+        text = "a,c,h,s,label\n" + "".join(",".join(cells) + "\n" for cells in records)
+        data = load_csv(schema, text)
+        rows, lines, bits = reference_load_csv(schema, text)
+        assert (data.rows, data.lines, data.words) == (rows, lines, tuple(row_words(bits)))
+        net = random_netlist(schema.width, [12, 6], 3, 2, seed=num_rows)
+        hits = sum(predict(net, b)[0] == label for b, (_, label) in zip(bits, rows))
+        assert accuracy(net, data) == Fraction(hits, num_rows)
+
+    def test_no_rows(self):
+        from lgnsat.netlist import random_netlist
+
+        schema = four_feature_schema()
+        net = random_netlist(schema.width, [6, 4], 2, 2, seed=0)
+        for data in (Dataset(schema, ()), load_csv(schema, "a,c,h,s,label\n\n")):
+            assert data.words == (0,) * schema.width
+            with pytest.raises(DataError, match="^dataset has no rows$"):
+                accuracy(net, data)
+
+    def test_wide_features(self):
+        # Values of 256 and more do not fit a byte; each must keep its own bit.
+        schema = FeatureSchema((CategoricalFeature("c", 300), NumericFeature("n", 300, 0.0, 301.0)))
+        values = [(0, 0), (255, 255), (256, 256), (299, 300), (257, 299), (1, 3)]
+        text = "c,n,label\n" + "".join(f"{c},{n + 0.5},0\n" for c, n in values)
+        data = load_csv(schema, text)
+        rows, _, bits = reference_load_csv(schema, text)
+        assert data.words == tuple(row_words(bits))
+        for r, expected in enumerate(values):
+            row = tuple(w >> r & 1 for w in data.words)
+            assert schema.decode_bits(row) == expected
