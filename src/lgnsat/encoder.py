@@ -233,7 +233,7 @@ def build_query(
     violations = schema_violations(netlist, schema)
     if violations:
         raise InvalidNetlistError(violations)
-    if query.mode == FAIR and not schema.sensitive_features():
+    if query.mode == FAIR and not any(f.sensitive for f in schema.features):
         raise QueryBuildError("fair mode requires at least one sensitive feature")
 
     b = CnfBuilder()

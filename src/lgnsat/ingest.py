@@ -178,11 +178,6 @@ def load_csv(schema: FeatureSchema, data: bytes | str, label_col: str = "label")
 def accuracy(netlist: Netlist, dataset: Dataset) -> Fraction:
     """Fraction of rows whose predicted class equals the label; all rows
     are evaluated in one bit-sliced batch."""
-    if dataset.schema.width != netlist.input_width:
-        raise DataError(
-            f"schema width {dataset.schema.width} != netlist input_width "
-            f"{netlist.input_width}"
-        )
     if not dataset.rows:
         raise DataError("dataset has no rows")
     for lineno, (_, label) in zip(dataset.lines, dataset.rows):

@@ -3,13 +3,12 @@
 Numerical features use thermometer encoding: bucket value v over B bits sets
 bits 0..v-1. Categorical features use one-hot over their arity. This module
 owns the single definition of bit-pattern validity, which ``decode_bits``
-checks on every input read back from bits.
+checks, block by block, on every input read back from bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import inf
 
 from .errors import DataError, SchemaFormatError
@@ -39,9 +38,9 @@ class NumericFeature:
     def sensitive(self) -> bool:
         return False
 
-    @cached_property
+    @property
     def cut_points(self) -> tuple[float, ...]:
-        """Ascending bucket boundaries, one per bit, computed once."""
+        """Ascending bucket boundaries, one per bit."""
         if self.thresholds is not None:
             return self.thresholds
         step = (self.hi - self.lo) / (self.bits + 1)
@@ -87,9 +86,6 @@ class FeatureSchema:
             pos += f.width
         return ranges
 
-    def sensitive_features(self) -> list[CategoricalFeature]:
-        return [f for f in self.features if f.sensitive]
-
     def located_violations(self) -> list[tuple[int | None, str]]:
         """Each violated invariant with the index of the feature that breaks
         it (for a duplicate name, its second occurrence), or None for one of
@@ -106,6 +102,8 @@ class FeatureSchema:
                     problems.append("bits must be >= 1")
                 if not -inf < f.lo < f.hi < inf:  # NaN fails this too
                     problems.append("lo and hi must be finite with lo < hi")
+                elif f.thresholds is None and f.hi - f.lo == inf:
+                    problems.append("hi - lo overflows; give explicit thresholds")
                 if f.thresholds is not None:
                     if not all(f.lo <= t <= f.hi for t in f.thresholds):
                         problems.append("thresholds must be finite and in [lo, hi]")
@@ -120,41 +118,29 @@ class FeatureSchema:
             v.append((None, "schema has no features"))
         return v
 
-    # -- bit-pattern validity (read back by decode_bits) --------------------
-
-    @cached_property
-    def _bit_patterns(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per feature, the bit pattern of each of its values, indexed by the
-        value: thermometer patterns for buckets 0..bits, one-hot patterns for
-        categories 0..arity-1. Built once per schema; the only valid blocks."""
-        return tuple(
-            tuple((1,) * v + (0,) * (f.bits - v) for v in range(f.bits + 1))
-            if isinstance(f, NumericFeature)
-            else tuple((0,) * v + (1,) + (0,) * (f.arity - 1 - v) for v in range(f.arity))
-            for f in self.features
-        )
-
     def decode_bits(self, bits) -> tuple[int, ...]:
         """Bit vector -> per-feature values (bucket index / category index).
 
-        Raises DataError on width mismatch or a block that is not one of its
-        feature's patterns: non-monotone thermometer bits, or a one-hot block
-        without exactly one bit set.
+        A thermometer block of value v is v ones then zeros, and a one-hot
+        block of value v has its single one at v. Raises DataError on width
+        mismatch or on any other block.
         """
         if len(bits) != self.width:
             raise DataError(f"expected {self.width} bits, got {len(bits)}")
         values = []
-        for f, patterns, (start, end) in zip(
-            self.features, self._bit_patterns, self.bit_ranges()
-        ):
-            block = tuple(map(int, bits[start:end]))
-            try:
-                values.append(patterns.index(block))
-            except ValueError:
-                kind = "a thermometer pattern" if isinstance(f, NumericFeature) else "one-hot"
+        for f, (start, end) in zip(self.features, self.bit_ranges()):
+            block = list(map(int, bits[start:end]))
+            if isinstance(f, NumericFeature):
+                v, kind = block.count(1), "a thermometer pattern"
+                valid = block == [1] * v + [0] * (f.bits - v)
+            else:
+                v, kind = block.index(1) if 1 in block else 0, "one-hot"
+                valid = block == [0] * v + [1] + [0] * (f.arity - 1 - v)
+            if not valid:
                 raise DataError(
                     f"feature {f.name!r}: bits {''.join(map(str, block))} are not {kind}"
-                ) from None
+                )
+            values.append(v)
         return tuple(values)
 
 

@@ -1,5 +1,7 @@
+import itertools
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -160,6 +162,41 @@ class TestDecodeBits:
             )
             bits = encode_values(schema, values)
             assert encode_values(schema, schema.decode_bits(bits)) == bits
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_every_block_of_each_width(self, width):
+        # A thermometer block is valid iff its bits never rise, and a one-hot
+        # block iff exactly one bit is set: k + 1 and k valid blocks of width k.
+        thermometer = FeatureSchema((NumericFeature("f", width, 0.0, 1.0),))
+        one_hot = FeatureSchema((CategoricalFeature("f", width),))
+        accepted = Counter()
+        for block in itertools.product((0, 1), repeat=width):
+            text = "".join(map(str, block))
+            for schema, valid, value, kind in (
+                (thermometer, list(block) == sorted(block, reverse=True), sum(block),
+                 "a thermometer pattern"),
+                (one_hot, sum(block) == 1, block.index(1) if 1 in block else None, "one-hot"),
+            ):
+                if valid:
+                    assert schema.decode_bits(block) == (value,)
+                    accepted[kind] += 1
+                else:
+                    with pytest.raises(DataError, match=f"^feature 'f': bits {text} are not {kind}$"):
+                        schema.decode_bits(block)
+        assert accepted == {"a thermometer pattern": width + 1, "one-hot": width}
+
+    def test_wide_blocks_decode_in_little_memory(self):
+        # Each block is checked against its rule; no table of every valid
+        # pattern (width^2 bits per feature) is built.
+        schema = FeatureSchema((CategoricalFeature("c", 2000), NumericFeature("f", 2000, 0.0, 1.0)))
+        bits = encode_values(schema, (1234, 777))
+        tracemalloc.start()
+        try:
+            assert schema.decode_bits(bits) == (1234, 777)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 CSV_TEXT = """v,s,label

@@ -494,6 +494,9 @@ class TestSchemaRoundTrip:
         for value in (1234567.0, 20.0000001):
             schema = FeatureSchema((NumericFeature("a", 1, 0.0, 2e7, thresholds=(value,)),))
             assert parse_schema(serialize_schema(schema)) == schema
+        # Bounds whose difference overflows need explicit thresholds.
+        schema = FeatureSchema((NumericFeature("a", 3, -1e308, 1e308, thresholds=(-1.0, 0.0, 1.0)),))
+        assert parse_schema(serialize_schema(schema)) == schema
 
     def test_six_digit_bounds_keep_their_text(self):
         schema = FeatureSchema((
@@ -524,6 +527,7 @@ class TestSchemaErrors:
         ("num a bits=2 lo=0 hi=inf", 1, "'a': lo and hi must be finite with lo < hi"),
         ("num a bits=2 lo=nan hi=1", 1, "'a': lo and hi must be finite with lo < hi"),
         ("num a bits=2 lo=10 hi=0", 1, "'a': lo and hi must be finite with lo < hi"),
+        ("cat g arity=2\nnum a bits=3 lo=-1e308 hi=1e308", 2, "'a': hi - lo overflows"),
         ("num a bits=2 lo=0 hi=3 thresholds=1,inf", 1, "'a': thresholds must be finite"),
         ("num a bits=2 lo=0 hi=3 thresholds=5,6", 1, "'a': thresholds must be finite and in [lo, hi]"),
         ("cat g arity=2\n# note\nnum a bits=2 lo=0 hi=3 thresholds=-1,2", 3,
@@ -540,7 +544,7 @@ class TestSchemaErrors:
         ("num a bits=2 lo=0 hi=3 sensitive=1", 1, "unknown num key 'sensitive'"),
     ], ids=["missing-key", "duplicate-key", "unknown-kind", "bits-1_0", "arity-+2",
             "hi-3_0", "threshold-2_0",
-            "unsorted-thresholds", "arity-1", "hi-inf", "lo-nan", "lo-above-hi",
+            "unsorted-thresholds", "arity-1", "hi-inf", "lo-nan", "lo-above-hi", "hi-lo-overflows",
             "threshold-inf", "thresholds-above-hi", "threshold-below-lo", "duplicate-name",
             "no-features", "bits-0", "too-few-thresholds", "key-without-value",
             "sensitive-true", "misspelled-key", "sensitive-num"])
