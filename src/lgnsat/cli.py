@@ -73,9 +73,9 @@ def _frac(value: Fraction) -> dict:
     return {"exact": str(value), "float": float(value)}
 
 
-def _fraction(text) -> Fraction:
+def _fraction(text: str) -> Fraction:
     """A threshold option's exact value; a zero denominator or a ``_`` is a ValueError."""
-    if "_" in str(text):  # the --tol default is a Fraction
+    if "_" in text:
         raise ValueError(f"invalid fraction {text!r}")
     try:
         return Fraction(text)
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("search-kappa", cmd_search_kappa, "search the minimal safe threshold")
     _add_query_args(p)
-    p.add_argument("--tol", default=DEFAULT_TOLERANCE, help="bracket width (0 = exact)")
+    p.add_argument("--tol", default=str(DEFAULT_TOLERANCE), help="bracket width (0 = exact)")
     _add_solver_args(p)
 
     p = command("sweep", cmd_sweep, "verify across a list of thresholds")

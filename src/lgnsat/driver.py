@@ -5,8 +5,8 @@ Every solver-backed call goes through ``_solve``: it builds the query,
 hands it to the solver, and reads a SAT model back as one concrete input
 per network copy, rechecked on the network. Each probe is a fresh solver
 invocation, save that a search does not solve again a formula it found
-UNSAT; searches and sweeps keep each probe's ``Verdict``, for their solve
-time, and pass them through one consistency rule, ``_check_consistent``.
+UNSAT, and a sweep does not solve a row that a lower one settles; searches
+and sweeps keep each row's ``Verdict``, for its solve time.
 """
 
 from __future__ import annotations
@@ -173,7 +173,10 @@ def search_min_kappa(
             break
         m = (lo + hi) / 2
         kappa = max(lo, *(Fraction(m.numerator * t // m.denominator, t) for t in range(1, n + 1)))
-    _check_consistent(queries)
+    if lo > hi:
+        raise EncodingConsistencyError(
+            f"verdicts not monotone: Holds at {hi}, but a counterexample has confidence {lo}"
+        )
     return KappaSearchResult(hi, lo, tuple(queries))
 
 
@@ -196,19 +199,6 @@ def check_attainable(
     return True
 
 
-def _check_consistent(verdicts) -> None:
-    """A Holds at kappa says no similar pair changes class from a confidence
-    above kappa, so a rechecked witness more confident than that is an
-    EncodingConsistencyError."""
-    holds = [v.kappa for v in verdicts if v.status == HOLDS]
-    confs = [v.witness.x.conf for v in verdicts if v.status == COUNTEREXAMPLE]
-    if holds and confs and max(confs) > min(holds):
-        raise EncodingConsistencyError(
-            f"verdicts not monotone: Holds at {min(holds)}, "
-            f"but a counterexample has confidence {max(confs)}"
-        )
-
-
 def sweep(
     netlist: Netlist,
     schema: FeatureSchema,
@@ -217,11 +207,20 @@ def sweep(
     kappas,
     config: SolverConfig | None = None,
 ) -> list[Verdict]:
-    """verify_at across a threshold list; verdicts come back in ascending
-    kappa order and must pass the consistency rule."""
-    kappas = sorted(Fraction(k) for k in kappas)
-    if not kappas:
+    """verify_at across a threshold list, in ascending kappa order, with
+    every row's query built before any solve. A row at or above a Holds, or
+    below the last witness's confidence, takes that verdict with its own
+    formula's sizes, wall time 0 and no solve."""
+    queries = [PropertyQuery(mode, eps, k) for k in sorted(map(Fraction, kappas))]
+    if not queries:
         raise ValueError("kappa list must be nonempty")
-    rows = [verify_at(netlist, schema, mode, eps, kappa, config) for kappa in kappas]
-    _check_consistent(rows)
+    rows = []
+    for query in queries:
+        last = rows[-1] if rows else None
+        if last and (last.status == HOLDS or last.witness and last.witness.x.conf > query.kappa):
+            formula, _ = build_query(netlist, schema, query)
+            stats = VerdictStats(0.0, len(formula.clauses), formula.num_vars)
+            rows.append(Verdict(last.status, query.kappa, last.witness, stats))
+        else:
+            rows.append(_verify(netlist, schema, mode, eps, query.kappa, config, None))
     return rows

@@ -137,6 +137,18 @@ def assert_farey_probes(result, n):
     assert len(set(kappas)) == len(kappas), kappas
 
 
+def recorded_digests(monkeypatch) -> list[str]:
+    """The DIMACS sha256 of each formula handed to the solver, in order."""
+    digests, solve = [], solver.solve
+
+    def counting_solve(formula, config=None):
+        digests.append(hashlib.sha256(to_dimacs(formula)).hexdigest())
+        return solve(formula, config)
+
+    monkeypatch.setattr(solver, "solve", counting_solve)
+    return digests
+
+
 class TestExactSearch:
     @pytest.mark.parametrize("mode", [FAIR, ROBUST])
     @pytest.mark.parametrize("classes,block_size", ORACLE_NETS)
@@ -166,13 +178,7 @@ class TestExactSearch:
     def test_no_formula_solved_twice(self, monkeypatch, mode, solver_config):
         # On this net two probes of each search give byte-identical formulas.
         net, schema = oracle_net(2, 5)
-        digests, solve = [], solver.solve
-
-        def counting_solve(formula, config=None):
-            digests.append(hashlib.sha256(to_dimacs(formula)).hexdigest())
-            return solve(formula, config)
-
-        monkeypatch.setattr(solver, "solve", counting_solve)
+        digests = recorded_digests(monkeypatch)
         result = search_min_kappa(net, schema, mode, 1, 0, solver_config)
         assert result.kappa_star == brute_force_min_kappa(net, schema, mode, 1)
         assert len(digests) == len(set(digests))
@@ -258,15 +264,50 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(flip_net, flip_schema, "fair", 0, [])
 
-    def test_monotone_rows(self, solver_config):
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mode", [FAIR, ROBUST])
+    def test_monotone_rows(self, monkeypatch, seed, mode, solver_config):
+        # Every row matches the pair-loop oracle, and no formula is solved
+        # twice: rows that a lower row settles get no solve.
         schema = small_schema()
-        net = random_netlist(4, [5, 4], 2, 2, seed=3)
-        kappas = [Fraction(k, 8) for k in range(4, 9)]
-        rows = sweep(net, schema, "robust", 1, kappas, solver_config)
-        statuses = [r.status for r in rows]
-        if HOLDS in statuses:
-            first = statuses.index(HOLDS)
-            assert all(s == HOLDS for s in statuses[first:])
+        net = random_netlist(4, [6, 4], 2, 2, seed=seed)
+        digests = recorded_digests(monkeypatch)
+        kappas = [Fraction(k, 16) for k in range(8, 17)]
+        rows = sweep(net, schema, mode, 1, kappas, solver_config)
+        assert [r.kappa for r in rows] == kappas
+        for r in rows:
+            assert r.status == brute_force_verify(net, schema, mode, 1, r.kappa).status, r.kappa
+        assert len(digests) == len(set(digests))
+
+    def test_rows_above_a_holds_are_not_solved(self, monkeypatch):
+        net, schema = oracle_net(2, 5)
+        answer(monkeypatch, SolveOutcome(UNSAT, None, 0.5, 20, ()))
+        kappas = [Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+        rows = sweep(net, schema, FAIR, 0, kappas)
+        assert [r.status for r in rows] == [HOLDS] * 3
+        assert [r.stats.wall_time for r in rows] == [0.5, 0, 0]
+        for r in rows:
+            formula, _ = build_query(net, schema, PropertyQuery(FAIR, 0, r.kappa))
+            assert (r.stats.num_clauses, r.stats.num_vars) == (
+                len(formula.clauses), formula.num_vars
+            )
+
+    def test_rows_below_a_witness_confidence_are_not_solved(
+        self, monkeypatch, flip_net, flip_schema
+    ):
+        query = PropertyQuery(FAIR, 0, Fraction(1, 2))
+        answer(monkeypatch, forged_model(flip_net, flip_schema, query, (1, 0), (0, 1)))
+        kappas = [Fraction(1, 2), Fraction(3, 4), Fraction(99, 100)]
+        rows = sweep(flip_net, flip_schema, FAIR, 0, kappas)
+        assert [r.status for r in rows] == [COUNTEREXAMPLE] * 3
+        assert rows[0].witness.x.conf == 1
+        assert all(r.witness == rows[0].witness for r in rows)
+        assert [r.stats.wall_time for r in rows[1:]] == [0, 0]
+
+    def test_every_kappa_checked_before_a_solve(self, monkeypatch, flip_net, flip_schema):
+        answer(monkeypatch)  # no replies: a solve would raise StopIteration
+        with pytest.raises(QueryBuildError, match="kappa"):
+            sweep(flip_net, flip_schema, FAIR, 0, [Fraction(1, 2), Fraction(3, 2)])
 
 
 def forged_model(netlist, schema, query, *copy_bits):
@@ -354,29 +395,6 @@ class TestRechecks:
         answer(monkeypatch, forged_model(zero_net, flip_schema, query, (1, 0)))
         with pytest.raises(EncodingConsistencyError, match="total=0"):
             check_attainable(zero_net, flip_schema, kappa)
-
-    def test_sweep_not_monotone(self, monkeypatch, flip_net, flip_schema):
-        # Holds at 1/2, then a valid counterexample at the larger 3/4.
-        query = PropertyQuery(FAIR, 0, Fraction(3, 4))
-        answer(
-            monkeypatch,
-            SolveOutcome(UNSAT, None, 0.0, 20, ()),
-            forged_model(flip_net, flip_schema, query, (1, 0), (0, 1)),
-        )
-        with pytest.raises(EncodingConsistencyError, match="not monotone"):
-            sweep(flip_net, flip_schema, FAIR, 0, [Fraction(3, 4), self.half])
-
-    def test_sweep_holds_below_a_witness_confidence(self, monkeypatch, flip_net, flip_schema):
-        # A valid counterexample at 1/2 whose witness has confidence 1, then
-        # Holds at 3/4: the statuses are in order, the confidences are not.
-        query = PropertyQuery(FAIR, 0, self.half)
-        answer(
-            monkeypatch,
-            forged_model(flip_net, flip_schema, query, (1, 0), (0, 1)),
-            SolveOutcome(UNSAT, None, 0.0, 20, ()),
-        )
-        with pytest.raises(EncodingConsistencyError, match="not monotone"):
-            sweep(flip_net, flip_schema, FAIR, 0, [self.half, Fraction(3, 4)])
 
     def test_search_holds_below_a_witness_confidence(self, monkeypatch):
         # Counterexample at 1/2 (confidence 3/5), Holds at 4/5, then a
