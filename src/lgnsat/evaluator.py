@@ -6,10 +6,11 @@ whole batch of rows, on Python ints whose bit r belongs to row r. A batch
 comes in as these words, one per input bit: ``ingest`` builds them from a
 CSV a feature column at a time, and one row's bits (each 0 or 1) are
 already its words, so ``predict`` and ``forward`` pass them through as a
-one-row batch. Class scores come from bit-plane counters over each
-block's output words, read back by bytes operations, so a batch costs one
-pass over the live gates plus work linear in the row count, with no
-Python loop over set bits. ``accuracy`` evaluates all its rows in one batch.
+one-row batch. Class scores come from carry-save bit-plane counters over
+each block's output words, about one full adder per word, read back by
+bytes operations, so a batch costs one pass over the live gates plus work
+linear in the row count, with no Python loop over set bits. ``accuracy``
+evaluates all its rows in one batch.
 
 Confidence is the winner block's popcount over the total output popcount,
 kept as an exact Fraction throughout: float comparison would corrupt
@@ -117,20 +118,27 @@ def _output_words(netlist: Netlist, columns, num_rows: int) -> list[int]:
 
 
 def _popcounts(words, num_rows: int) -> list[int]:
-    """Per-row count of set bits over ``words``: a ripple-carry add into bit
+    """Per-row count of set bits over ``words``: a carry-save add into bit
     planes, then their weighted sum as one int of ``lane``-byte
     little-endian lanes, row r's from byte ``r * lane``, wide enough that no
-    count carries into the next. A plane's binary digits run from the last
-    row to the first, so read big-endian, one byte each, they land in order."""
+    count carries into the next. At each weight a full adder takes the words
+    three at a time: their sum stays at that weight and their carry moves up
+    one, until one word is left, that weight's plane. A plane's binary
+    digits run from the last row to the first, so read big-endian, one byte
+    each, they land in order."""
     planes: list[int] = []
-    for carry in words:
-        i = 0
-        while carry:
-            if i == len(planes):
-                planes.append(carry)
-                break
-            planes[i], carry = planes[i] ^ carry, planes[i] & carry
-            i += 1
+    level = list(words)
+    while level:
+        if len(level) % 2 == 0:
+            level.append(0)  # an odd count of words reduces to one
+        up: list[int] = []
+        it = iter(level)  # it also reads the sums appended to level
+        for a, b, c in zip(it, it, it):
+            ab = a ^ b
+            level.append(ab ^ c)
+            up.append(a & b | ab & c)
+        planes.append(level[-1])
+        level = up
     lane = (len(planes) + 7) // 8 or 1
     spread = bytearray(num_rows * lane)
     total = 0

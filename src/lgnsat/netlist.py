@@ -163,17 +163,26 @@ def schema_violations(netlist: Netlist, schema) -> list[str]:
 # '#' comment lines are permitted when parsing; the canonical form has neither.
 # ---------------------------------------------------------------------------
 
-# A whole layer line, its gates in group 1. A match that stops short of the
-# end of the line stops at the first token that is not a gate. Nothing is
-# captured inside the repeat, which keeps the match cheap; in the matched
-# text each "(" starts a gate, so _OP_RE finds every op code.
+# An ASCII layer line is read by bulk byte tests (``_ascii_numbers``). Any
+# other line, and every line those tests refuse, is read by this whole-line
+# match, which also locates the error of a bad line: a match that stops short
+# of the end of the line stops at the first token that is not a gate. Nothing
+# is captured inside the repeat, which keeps the match cheap; in the matched
+# text each "(" starts a gate, so _OP_RE finds every op code, and each gate
+# holds three of _NUMBER_RE's numbers.
 _LAYER_RE = re.compile(r"\s*layer((?:\s*\(\s*\d+\s*,\s*[ig]\d+\s*,\s*[ig]\d+\s*\))*)\s*")
 _OP_RE = re.compile(r"\(\s*(\d+)")
-# Matched gate text holds only gates and whitespace. Blanking "(" and ref
-# kinds and turning ")" into "," leaves three comma-ended numbers per gate.
-# Keeping only "(", "i" and "g" leaves one kind byte per number: 1 for an
-# input ref, else 0.
-_NUMBERS = str.maketrans("()ig", " ,  ")
+_NUMBER_RE = re.compile(r"\d+")
+# Byte classes for the bulk tests: "d" a digit, "r" a ref kind, " " ASCII
+# whitespace (what \s matches). A literal "d" or "r" becomes "x"; "(", ","
+# and ")" stay, and so does every other byte, which no test accepts.
+_CLASSES = bytes.maketrans(b"0123456789igdr\t\n\r\v\f\x1c\x1d\x1e\x1f",
+                           b"ddddddddddrrxx" + b" " * 9)
+# Gate text holds only gates and whitespace. Blanking "(" and ref kinds and
+# turning ")" into "," leaves three comma-ended numbers per gate for json;
+# the ASCII whitespace json refuses becomes spaces. Keeping only "(", "i"
+# and "g" leaves one kind byte per number: 1 for an input ref, else 0.
+_NUMBERS = str.maketrans("()ig\v\f\x1c\x1d\x1e\x1f", " ,        ")
 _KINDS = bytes.maketrans(b"(ig", b"\x00\x01\x00")
 _NOT_KINDS = bytes(c for c in range(256) if c not in b"(ig")
 _MAGIC = "lgn 1"
@@ -247,20 +256,34 @@ def _parse_header_int(lines, idx: int, key: str) -> int:
         raise NetlistFormatError(f"non-integer value for {key}: {parts[1]!r}", line=lineno)
 
 
+def _ascii_numbers(body: str) -> list[int] | None:
+    """The numbers of an ASCII layer line's gates, ``body`` being the
+    stripped line after ``layer``, if the bulk byte tests accept it: the
+    gates and nothing else, each in ``_LAYER_RE``'s form. Otherwise None."""
+    shape = body.encode().translate(_CLASSES)
+    tight = shape.translate(None, b" ")
+    k = shape.count(b"(")
+    if (k and tight.translate(None, b"d") == b"(,r,r)" * k
+            and shape.count(b"rd") == 2 * k  # each ref kind runs into its digits
+            and b")d" not in tight and b"d(" not in tight):  # no digit outside a gate
+        try:  # refuses an empty number, one split by whitespace and a leading 0
+            return json.loads(f"[{body.translate(_NUMBERS)[:-1]}]")
+        except ValueError:
+            pass
+    return None
+
+
 def _parse_layer_line(lineno: int, line: str) -> tuple[Gate, ...]:
     """The gates of one raw file line; error columns count from its start."""
-    whole = _LAYER_RE.match(line)
-    if whole is None:
-        raise NetlistFormatError(
-            f"expected 'layer ...', got {line.strip()!r}", line=lineno
-        )
-    end = whole.end()
-    body = whole[1]
-    numbers = body.translate(_NUMBERS)[:-1]
-    try:  # json reads in C; int() also takes "08", non-ASCII digits and spaces
-        nums = json.loads(f"[{numbers}]")
-    except ValueError:
-        nums = list(map(int, numbers.split(",")))
+    text = line.strip()
+    body, end = text[5:], len(line)
+    nums = _ascii_numbers(body) if text[:5] == "layer" and line.isascii() else None
+    if nums is None:
+        whole = _LAYER_RE.match(line)
+        if whole is None:
+            raise NetlistFormatError(f"expected 'layer ...', got {text!r}", line=lineno)
+        end, body = whole.end(), whole[1]
+        nums = list(map(int, _NUMBER_RE.findall(body)))  # "08" and non-ASCII digits too
     if "i" in body:  # n ^ -kind: the number n of an input ref becomes ~n
         nums = list(map(xor, nums, map(neg, body.encode().translate(_KINDS, _NOT_KINDS))))
     gates = tuple(zip(nums[0::3], nums[1::3], nums[2::3]))

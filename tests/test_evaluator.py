@@ -23,6 +23,7 @@ from lgnsat.evaluator import (
     FAIR,
     HOLDS,
     ROBUST,
+    _popcounts,
     class_scores,
     confidence_of,
     forward,
@@ -186,6 +187,17 @@ class TestBatchEvaluation:
         ]:
             net = const_block_net(scores, len(scores), block_size)
             assert set(predict_rows(net, rows)) == {(0, scores, conf)}
+
+    # Block sizes 1 to 40 meet odd word counts and even ones, which take a
+    # zero word, at each of their first weights.
+    @pytest.mark.parametrize("num_rows", [1, 7, 64, 65])
+    def test_popcounts_of_every_block_size(self, num_rows):
+        rng = random.Random(num_rows)
+        for size in range(1, 41):
+            words = [rng.getrandbits(num_rows) for _ in range(size)]
+            assert _popcounts(words, num_rows) == [
+                sum(w >> r & 1 for w in words) for r in range(num_rows)
+            ]
 
     def test_width_mismatch_in_any_row(self):
         # A short row among the rows leaves one word, where the net needs two.

@@ -281,7 +281,7 @@ def _swap_kind(rng, line):
 
 def _whitespace(rng, line):
     i = rng.randrange(len(line) + 1)
-    return line[:i] + rng.choice(["\t", "  ", " \t ", "\u00a0"]) + line[i:]
+    return line[:i] + rng.choice(["\t", "  ", " \t ", "\u00a0", "\x1c"]) + line[i:]
 
 
 def _wide_digit(rng, line):
@@ -292,7 +292,37 @@ def _wide_digit(rng, line):
     return line[:i] + chr(0x0660 + int(line[i])) + line[i + 1:]  # Arabic-Indic
 
 
-_DAMAGES = (_drop, _duplicate, _swap, _big_op, _swap_kind, _whitespace, _wide_digit)
+def _digit_across_paren(rng, line):  # "(6, " -> "6(, " or "g10) " -> "g1)0 "
+    spots = [m.start() for m in re.finditer(r"\(\d|\d\)", line)]
+    if not spots:
+        return line
+    i = rng.choice(spots)
+    return line[:i] + line[i + 1] + line[i] + line[i + 2:]
+
+
+def _split_ref(rng, line):  # "g5" -> "g 5"
+    kinds = [m.end() for m in re.finditer(r"[ig](?=\d)", line)]
+    if not kinds:
+        return line
+    i = rng.choice(kinds)
+    return line[:i] + rng.choice([" ", "\t", "\x1c"]) + line[i:]
+
+
+def _glued_letter(rng, line):  # "layerx (", "gi5" or "g5x"
+    spots = [m.end() for m in re.finditer(r"layer", line)]
+    spots += [i for m in re.finditer(r"[ig]\d+", line) for i in range(m.start() + 1, m.end() + 1)]
+    if not spots:
+        return line
+    i = rng.choice(spots)
+    return line[:i] + rng.choice("igxeL") + line[i:]
+
+
+def _junk_after(rng, line):
+    return line.rstrip() + rng.choice(["x", " 5", "5", ",", ")", " (", " (1, i0, i1", "#"])
+
+
+_DAMAGES = (_drop, _duplicate, _swap, _big_op, _swap_kind, _whitespace, _wide_digit,
+            _digit_across_paren, _split_ref, _glued_letter, _junk_after)
 
 
 def _outcome(parse, line):
@@ -303,9 +333,9 @@ def _outcome(parse, line):
 
 
 class TestLayerParserParity:
-    """The tokenizing layer parser against the findall parser it replaced,
-    on seeded damaged layer lines: the same gates, or the same error type,
-    message, line and column."""
+    """The layer parser, by byte tests or by the whole-line match, against
+    the findall parser it replaced, on seeded damaged layer lines: the same
+    gates, or the same error type, message, line and column."""
 
     def test_damaged_lines_match_the_findall_parser(self):
         base = [
@@ -336,6 +366,8 @@ class TestLayerParserParity:
         ("layer (3,\u00a0i4, g5)\u2003(1, g0, i2)\u00a0",  # non-ASCII whitespace
          ((3, ~4, 5), (1, 0, ~2))),
         ("layer (1, g0, i2) (1\u0666, i4, g5)", None),  # op 16 in two scripts
+        ("layer (1, i0,\x1c i1) (2, i0, i1)", ((1, ~0, ~1), (2, ~0, ~1))),  # \s, not json's
+        ("layer (1, i0,\x1f i1) (\u0662, i0, i1)", ((1, ~0, ~1), (2, ~0, ~1))),
     ])
     def test_numbers_json_does_not_read(self, line, gates):
         outcome = _outcome(_parse_layer_line, line)
